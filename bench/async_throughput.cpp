@@ -1,7 +1,11 @@
 // Async vs sync time-to-accuracy under stragglers (the tentpole bench).
 //
-// Sweeps {sync, async K ∈ {4, 16, 64}} × {lan, cellular, heterogeneous}
-// × {FedAvg, FedClust} on a two-group FMNIST-emulation fleet. Sync
+// Sweeps {sync, async K ∈ {2, 4, 6}} × {lan, cellular, heterogeneous}
+// × {FedAvg, FedClust} on a two-group FMNIST-emulation fleet. A cluster
+// flushes at min(K, live members), so every K sits below the smallest
+// cluster FedClust forms on this fleet; the bench refuses a K whose
+// per-cluster flush sizes coincide with another K's (it would measure
+// the same run twice). Sync
 // rounds on the straggler profiles close after the fastest 50% of
 // uploads (the straggler_demo setting); the async engine has no round
 // barrier at all — per-cluster buffers flush as soon as K updates
@@ -18,9 +22,11 @@
 #include <string>
 #include <vector>
 
-#include "algorithms/async_adapters.hpp"
+#include <algorithm>
+
 #include "bench_common.hpp"
-#include "core/fedclust_async.hpp"
+#include "cluster/hierarchical.hpp"
+#include "core/fedclust.hpp"
 #include "fl/async.hpp"
 #include "nn/models.hpp"
 
@@ -117,11 +123,22 @@ fl::RunResult run_buffered(const std::string& algorithm, fl::Federation& fed,
   ac.staleness_fn = fl::StalenessKind::kPolynomial;
   ac.staleness_exponent = 0.5;
   if (algorithm == "FedClust") {
-    core::FedClustAsync adapter(core::FedClustConfig{.warmup_epochs = 1});
-    return fl::run_async(fed, adapter, ac, flushes);
+    core::FedClust algo(core::FedClustConfig{.warmup_epochs = 1});
+    return fl::run_async(fed, algo, ac, flushes);
   }
-  algorithms::GlobalAverageAdapter adapter;
-  return fl::run_async(fed, adapter, ac, flushes);
+  algorithms::FedAvg algo;
+  return fl::run_async(fed, algo, ac, flushes);
+}
+
+/// Per-cluster flush sizes the engine used for buffer `k`: min(k, cluster
+/// size) — no faults or quarantine on this fleet, so membership is the
+/// final labeling.
+std::vector<std::size_t> flush_sizes(std::size_t k,
+                                     const std::vector<std::size_t>& labels) {
+  std::vector<std::size_t> sizes(cluster::num_clusters(labels), 0);
+  for (const std::size_t l : labels) ++sizes[l];
+  for (std::size_t& s : sizes) s = std::min(k, s);
+  return sizes;
 }
 
 /// Flush budget matching the sync runs' update budget (rounds × fleet),
@@ -161,7 +178,7 @@ int main(int argc, char** argv) {
                                             net::Profile::kHeterogeneous};
   const std::vector<std::size_t> buffer_ks =
       opt.quick ? std::vector<std::size_t>{4}
-                : std::vector<std::size_t>{4, 16, 64};
+                : std::vector<std::size_t>{2, 4, 6};
   const std::size_t sync_rounds = opt.quick ? 4 : kSyncRounds;
 
   std::printf("async_throughput: %zu clients, target %.0f%% mean accuracy\n\n",
@@ -185,10 +202,22 @@ int main(int argc, char** argv) {
       sync_row.speedup_vs_sync = 1.0;
       results.push_back(sync_row);
 
+      std::vector<std::vector<std::size_t>> measured;
       for (const std::size_t k : buffer_ks) {
         const std::size_t flushes = flush_budget(k, sync_rounds);
         fl::Federation fed = build_federation(profile, seed);
         const fl::RunResult res = run_buffered(algorithm, fed, k, flushes);
+        std::vector<std::size_t> sizes = flush_sizes(k, res.cluster_labels);
+        if (std::find(measured.begin(), measured.end(), sizes) !=
+            measured.end()) {
+          std::fprintf(stderr,
+                       "async_throughput: K=%zu clamps onto a smaller K for "
+                       "%s/%s (every cluster flushes at its size); sweep "
+                       "only K below the smallest cluster\n",
+                       k, algorithm.c_str(), pname.c_str());
+          return 2;
+        }
+        measured.push_back(std::move(sizes));
         bench::AsyncBenchResult row =
             summarize(algorithm, "async_k" + std::to_string(k), pname, k,
                       flushes, res, fed);

@@ -21,7 +21,6 @@
 
 #include "algorithms/cfl.hpp"
 #include "core/fedclust.hpp"
-#include "core/fedclust_async.hpp"
 #include "data/synthetic.hpp"
 #include "fl/async.hpp"
 #include "nn/models.hpp"
@@ -132,10 +131,10 @@ int main() {
     ac.staleness_fn = fl::StalenessKind::kPolynomial;
     ac.staleness_exponent = 0.5;
     const std::size_t flushes = 2 * kRounds * kClients / ac.buffer_k;
-    core::FedClustAsync adapter(
+    core::FedClust algo(
         core::FedClustConfig{.warmup_epochs = 2, .rel_factor = 0.6});
     fl::Federation fed = build_federation(/*seed=*/17);
-    const fl::RunResult result = fl::run_async(fed, adapter, ac, flushes);
+    const fl::RunResult result = fl::run_async(fed, algo, ac, flushes);
     report("async", result, fed);
   }
 

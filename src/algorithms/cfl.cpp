@@ -19,18 +19,13 @@ double vector_norm(const std::vector<float>& v) {
 
 }  // namespace
 
-CflState Cfl::init(const fl::Federation& federation) const {
-  CflState state;
-  state.labels.assign(federation.num_clients(), 0);
-  state.cluster_weights = {federation.template_model().flat_weights()};
-  return state;
+std::size_t Cfl::begin(fl::Federation& federation, fl::RunResult&) {
+  labels_.assign(federation.num_clients(), 0);
+  cluster_weights_ = {federation.template_model().flat_weights()};
+  return 0;
 }
 
-double Cfl::round(fl::Federation& federation, std::size_t round_index,
-                  CflState& state) const {
-  std::vector<std::size_t>& labels = state.labels;
-  std::vector<std::vector<float>>& cluster_weights = state.cluster_weights;
-
+double Cfl::sync_round(fl::Federation& federation, std::size_t round_index) {
   const std::vector<std::size_t> participants =
       federation.sample_clients(round_index);
 
@@ -39,26 +34,26 @@ double Cfl::round(fl::Federation& federation, std::size_t round_index,
   }
   const std::vector<fl::ClientUpdate> updates = federation.train_clients(
       participants, round_index, [&](std::size_t cid) {
-        return std::span<const float>(cluster_weights[labels[cid]]);
+        return std::span<const float>(cluster_weights_[labels_[cid]]);
       });
 
   // Collect per-cluster update vectors Δ_i = w_i - w_cluster before the
   // aggregation overwrites the cluster weights.
   std::vector<std::vector<const fl::ClientUpdate*>> by_cluster(
-      cluster_weights.size());
+      cluster_weights_.size());
   double loss_sum = 0.0;
   for (const fl::ClientUpdate& u : updates) {
     federation.meter_upload(u.client_id, federation.model_size());
     loss_sum += u.train_loss;
-    by_cluster[labels[u.client_id]].push_back(&u);
+    by_cluster[labels_[u.client_id]].push_back(&u);
   }
 
-  std::vector<std::vector<std::vector<float>>> deltas(cluster_weights.size());
+  std::vector<std::vector<std::vector<float>>> deltas(cluster_weights_.size());
   for (std::size_t c = 0; c < by_cluster.size(); ++c) {
     for (const fl::ClientUpdate* u : by_cluster[c]) {
       std::vector<float> d(u->weights.size());
       for (std::size_t i = 0; i < d.size(); ++i) {
-        d[i] = u->weights[i] - cluster_weights[c][i];
+        d[i] = u->weights[i] - cluster_weights_[c][i];
       }
       deltas[c].push_back(std::move(d));
     }
@@ -70,12 +65,12 @@ double Cfl::round(fl::Federation& federation, std::size_t round_index,
     std::vector<fl::ClientUpdate> tmp;
     tmp.reserve(by_cluster[c].size());
     for (const fl::ClientUpdate* u : by_cluster[c]) tmp.push_back(*u);
-    cluster_weights[c] = federation.aggregate(tmp, cluster_weights[c]);
+    cluster_weights_[c] = federation.aggregate(tmp, cluster_weights_[c]);
   }
 
   // Split check per cluster (Sattler's eps1/eps2 criterion).
   if (round_index >= config_.warmup_rounds) {
-    const std::size_t existing = cluster_weights.size();
+    const std::size_t existing = cluster_weights_.size();
     for (std::size_t c = 0; c < existing; ++c) {
       const auto& ds = deltas[c];
       if (ds.size() <= config_.min_cluster_size) continue;
@@ -100,16 +95,16 @@ double Cfl::round(fl::Federation& federation, std::size_t round_index,
 
       // Members with split label 1 move to a brand-new cluster whose
       // model starts from the (already aggregated) parent weights.
-      const std::size_t new_cluster = cluster_weights.size();
+      const std::size_t new_cluster = cluster_weights_.size();
       bool any_moved = false;
       for (std::size_t m = 0; m < by_cluster[c].size(); ++m) {
         if (split[m] == 1) {
-          labels[by_cluster[c][m]->client_id] = new_cluster;
+          labels_[by_cluster[c][m]->client_id] = new_cluster;
           any_moved = true;
         }
       }
       if (any_moved) {
-        cluster_weights.push_back(cluster_weights[c]);
+        cluster_weights_.push_back(cluster_weights_[c]);
       }
     }
   }
@@ -118,30 +113,14 @@ double Cfl::round(fl::Federation& federation, std::size_t round_index,
                          : loss_sum / static_cast<double>(updates.size());
 }
 
-fl::RunResult Cfl::run(fl::Federation& federation, std::size_t rounds) {
-  federation.reset_comm();
-
-  fl::RunResult result;
-  result.algorithm = name();
-
-  CflState state = init(federation);
-
-  for (std::size_t r = 0; r < rounds; ++r) {
-    federation.comm().begin_round(r);
-    const double loss = round(federation, r, state);
-    const bool last = r + 1 == rounds;
-    if (last || (r + 1) % federation.config().eval_every == 0) {
-      const fl::AccuracySummary acc = evaluate_clustered(
-          federation, state.labels, state.cluster_weights);
-      result.rounds.push_back(fl::make_round_metrics(
-          r, acc, loss, federation, state.cluster_weights.size(),
-          check::weights_fingerprint(state.cluster_weights)));
-      if (last) result.final_accuracy = acc;
-    }
-  }
-
-  result.cluster_labels = state.labels;
-  return result;
+fl::AccuracySummary Cfl::evaluate(const fl::Federation& federation) const {
+  return evaluate_clustered(federation, labels_, cluster_weights_);
 }
+
+std::uint64_t Cfl::fingerprint() const {
+  return check::weights_fingerprint(cluster_weights_);
+}
+
+void Cfl::finish(fl::RunResult& result) { result.cluster_labels = labels_; }
 
 }  // namespace fedclust::algorithms

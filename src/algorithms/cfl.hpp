@@ -33,36 +33,31 @@ struct CflConfig {
   std::size_t min_cluster_size = 2;
 };
 
-/// CFL's evolving server state: the cluster tree flattened to labels +
-/// one model per cluster. Separated out so the classic run() loop and
-/// the engine-driven wave driver (fl::run_synchronized) execute the
-/// exact same round body over the exact same state.
-struct CflState {
-  std::vector<std::size_t> labels;
-  std::vector<std::vector<float>> cluster_weights;
-};
-
+/// Sync-only: the eps1/eps2 split check is part of every round, so
+/// cluster membership is never static.
 class Cfl : public fl::Algorithm {
  public:
   explicit Cfl(CflConfig config) : config_(config) {}
 
   std::string name() const override { return "CFL"; }
-  fl::RunResult run(fl::Federation& federation, std::size_t rounds) override;
-
   const CflConfig& config() const { return config_; }
 
   /// Initial state: one cluster holding every client.
-  CflState init(const fl::Federation& federation) const;
-
-  /// One synchronous CFL round over `state`: per-cluster training +
-  /// aggregation, then (after warmup) Sattler's eps1/eps2 split check,
-  /// possibly growing the cluster set. The caller has opened the comm
-  /// round. Returns the round's mean train loss.
-  double round(fl::Federation& federation, std::size_t round_index,
-               CflState& state) const;
+  std::size_t begin(fl::Federation& federation,
+                    fl::RunResult& result) override;
+  /// Per-cluster training + aggregation, then (after warmup) Sattler's
+  /// eps1/eps2 split check, possibly growing the cluster set.
+  double sync_round(fl::Federation& federation, std::size_t round) override;
+  fl::AccuracySummary evaluate(const fl::Federation& federation) const override;
+  std::uint64_t fingerprint() const override;
+  std::size_t num_clusters() const override { return cluster_weights_.size(); }
+  void finish(fl::RunResult& result) override;
 
  private:
   CflConfig config_;
+  /// The cluster tree flattened to labels + one model per cluster.
+  std::vector<std::size_t> labels_;
+  std::vector<std::vector<float>> cluster_weights_;
 };
 
 }  // namespace fedclust::algorithms

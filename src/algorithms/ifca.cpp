@@ -9,28 +9,23 @@
 
 namespace fedclust::algorithms {
 
-IfcaState Ifca::init(const fl::Federation& federation) const {
+std::size_t Ifca::begin(fl::Federation& federation, fl::RunResult&) {
   FEDCLUST_REQUIRE(config_.num_clusters >= 1, "IFCA needs k >= 1");
-  IfcaState state;
   // k models: template plus small independent perturbations so the
   // cluster-identity estimation can break symmetry in round 0.
   const std::vector<float> base = federation.template_model().flat_weights();
-  state.models.assign(config_.num_clusters, base);
+  models_.assign(config_.num_clusters, base);
   Rng init_rng = Rng(federation.config().seed).split(0x1fca);
-  for (std::size_t k = 1; k < state.models.size(); ++k) {
-    for (float& w : state.models[k]) {
+  for (std::size_t k = 1; k < models_.size(); ++k) {
+    for (float& w : models_[k]) {
       w += static_cast<float>(init_rng.normal(0.0, config_.init_perturbation));
     }
   }
-  state.labels.assign(federation.num_clients(), 0);
-  return state;
+  labels_.assign(federation.num_clients(), 0);
+  return 0;
 }
 
-double Ifca::round(fl::Federation& federation, std::size_t round_index,
-                   IfcaState& state) const {
-  std::vector<std::vector<float>>& models = state.models;
-  std::vector<std::size_t>& labels = state.labels;
-
+double Ifca::sync_round(fl::Federation& federation, std::size_t round_index) {
   // Under the network simulator, a participant's download is all k models
   // (identity estimation) while the upload is the single chosen model.
   const fl::NetPayloads payloads{
@@ -44,78 +39,66 @@ double Ifca::round(fl::Federation& federation, std::size_t round_index,
   // a download codec is active the broadcast is lossy, so the clients must
   // score the decoded weights, not the server-side originals.  Zero-copy
   // views when compression is off.
-  std::vector<std::vector<float>> decoded(models.size());
-  std::vector<std::span<const float>> delivered(models.size());
-  for (std::size_t k = 0; k < models.size(); ++k) {
-    decoded[k] = federation.download_roundtrip(models[k]);
-    delivered[k] = decoded[k].empty() ? std::span<const float>(models[k])
+  std::vector<std::vector<float>> decoded(models_.size());
+  std::vector<std::span<const float>> delivered(models_.size());
+  for (std::size_t k = 0; k < models_.size(); ++k) {
+    decoded[k] = federation.download_roundtrip(models_[k]);
+    delivered[k] = decoded[k].empty() ? std::span<const float>(models_[k])
                                       : std::span<const float>(decoded[k]);
   }
 
   // Identity estimation: every participant downloads all k models and
   // evaluates them on its local training data.
   for (std::size_t cid : participants) {
-    federation.meter_download(cid, federation.model_size() * models.size());
+    federation.meter_download(cid, federation.model_size() * models_.size());
     double best = std::numeric_limits<double>::infinity();
     std::size_t best_k = 0;
-    for (std::size_t k = 0; k < models.size(); ++k) {
+    for (std::size_t k = 0; k < models_.size(); ++k) {
       const double loss = federation.client_train_loss(cid, delivered[k]);
       if (loss < best) {
         best = loss;
         best_k = k;
       }
     }
-    labels[cid] = best_k;
+    labels_[cid] = best_k;
   }
 
   // Local training on the chosen model.
   const std::vector<fl::ClientUpdate> updates = federation.train_clients(
       participants, round_index,
       [&](std::size_t cid) {
-        return std::span<const float>(models[labels[cid]]);
+        return std::span<const float>(models_[labels_[cid]]);
       },
       nullptr, /*allow_failures=*/true, &payloads);
 
   double loss_sum = 0.0;
-  std::vector<std::vector<fl::ClientUpdate>> by_cluster(models.size());
+  std::vector<std::vector<fl::ClientUpdate>> by_cluster(models_.size());
   for (const fl::ClientUpdate& u : updates) {
     federation.meter_upload(u.client_id, federation.model_size());
     loss_sum += u.train_loss;
-    by_cluster[labels[u.client_id]].push_back(u);
+    by_cluster[labels_[u.client_id]].push_back(u);
   }
-  for (std::size_t k = 0; k < models.size(); ++k) {
+  for (std::size_t k = 0; k < models_.size(); ++k) {
     if (!by_cluster[k].empty()) {
-      models[k] = federation.aggregate(by_cluster[k], models[k]);
+      models_[k] = federation.aggregate(by_cluster[k], models_[k]);
     }
   }
   return updates.empty() ? 0.0
                          : loss_sum / static_cast<double>(updates.size());
 }
 
-fl::RunResult Ifca::run(fl::Federation& federation, std::size_t rounds) {
-  federation.reset_comm();
-
-  fl::RunResult result;
-  result.algorithm = name();
-
-  IfcaState state = init(federation);
-
-  for (std::size_t r = 0; r < rounds; ++r) {
-    federation.comm().begin_round(r);
-    const double loss = round(federation, r, state);
-    const bool last = r + 1 == rounds;
-    if (last || (r + 1) % federation.config().eval_every == 0) {
-      const fl::AccuracySummary acc =
-          evaluate_clustered(federation, state.labels, state.models);
-      result.rounds.push_back(fl::make_round_metrics(
-          r, acc, loss, federation, cluster::num_clusters(state.labels),
-          check::weights_fingerprint(state.models)));
-      if (last) result.final_accuracy = acc;
-    }
-  }
-
-  result.cluster_labels = state.labels;
-  return result;
+fl::AccuracySummary Ifca::evaluate(const fl::Federation& federation) const {
+  return evaluate_clustered(federation, labels_, models_);
 }
+
+std::uint64_t Ifca::fingerprint() const {
+  return check::weights_fingerprint(models_);
+}
+
+std::size_t Ifca::num_clusters() const {
+  return cluster::num_clusters(labels_);
+}
+
+void Ifca::finish(fl::RunResult& result) { result.cluster_labels = labels_; }
 
 }  // namespace fedclust::algorithms

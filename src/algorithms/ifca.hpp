@@ -21,37 +21,31 @@ struct IfcaConfig {
   double init_perturbation = 0.05;
 };
 
-/// IFCA's evolving server state: the k cluster models plus the latest
-/// per-client identity estimates. Separated out so the classic run()
-/// loop and the engine-driven wave driver (fl::run_synchronized) execute
-/// the exact same round body over the exact same state.
-struct IfcaState {
-  std::vector<std::vector<float>> models;
-  std::vector<std::size_t> labels;
-};
-
+/// Sync-only: identity estimation reruns every round.
 class Ifca : public fl::Algorithm {
  public:
   explicit Ifca(IfcaConfig config) : config_(config) {}
 
   std::string name() const override { return "IFCA"; }
-  fl::RunResult run(fl::Federation& federation, std::size_t rounds) override;
-
   const IfcaConfig& config() const { return config_; }
 
   /// Initial state: k perturbed copies of the template, everyone in
   /// cluster 0.
-  IfcaState init(const fl::Federation& federation) const;
-
-  /// One synchronous IFCA round over `state`: identity estimation over
-  /// the k delivered models, training on the chosen model, per-cluster
-  /// aggregation. The caller has opened the comm round. Returns the
-  /// round's mean train loss.
-  double round(fl::Federation& federation, std::size_t round_index,
-               IfcaState& state) const;
+  std::size_t begin(fl::Federation& federation,
+                    fl::RunResult& result) override;
+  /// Identity estimation over the k delivered models, training on the
+  /// chosen model, per-cluster aggregation.
+  double sync_round(fl::Federation& federation, std::size_t round) override;
+  fl::AccuracySummary evaluate(const fl::Federation& federation) const override;
+  std::uint64_t fingerprint() const override;
+  std::size_t num_clusters() const override;
+  void finish(fl::RunResult& result) override;
 
  private:
   IfcaConfig config_;
+  /// The k cluster models plus the latest per-client identity estimates.
+  std::vector<std::vector<float>> models_;
+  std::vector<std::size_t> labels_;
 };
 
 }  // namespace fedclust::algorithms

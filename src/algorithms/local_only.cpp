@@ -4,52 +4,46 @@
 
 namespace fedclust::algorithms {
 
-fl::RunResult LocalOnly::run(fl::Federation& federation, std::size_t rounds) {
-  federation.reset_comm();
+std::size_t LocalOnly::begin(fl::Federation& federation, fl::RunResult&) {
+  weights_.assign(federation.num_clients(),
+                  federation.template_model().flat_weights());
+  return 0;
+}
 
+double LocalOnly::sync_round(fl::Federation& federation, std::size_t round) {
   // Nothing ever crosses the wire; the zero/zero payload spec keeps the
-  // network simulator out of the round entirely.
+  // network simulator out of the round entirely (comm stays at zero).
   const fl::NetPayloads no_traffic{0, 0, net::MessageKind::kModelUpdate};
-
-  fl::RunResult result;
-  result.algorithm = name();
-  const std::size_t n = federation.num_clients();
-  // Every client is its own "cluster"; weights persist across rounds.
-  result.cluster_labels.resize(n);
-  for (std::size_t i = 0; i < n; ++i) result.cluster_labels[i] = i;
-
-  std::vector<std::vector<float>> weights(
-      n, federation.template_model().flat_weights());
-
-  for (std::size_t round = 0; round < rounds; ++round) {
-    federation.comm().begin_round(round);  // stays at zero bytes
-    std::vector<std::size_t> everyone(n);
-    for (std::size_t i = 0; i < n; ++i) everyone[i] = i;
-    const std::vector<fl::ClientUpdate> updates = federation.train_clients(
-        everyone, round,
-        [&](std::size_t cid) {
-          return std::span<const float>(weights[cid]);
-        },
-        nullptr, /*allow_failures=*/true, &no_traffic);
-    double loss_sum = 0.0;
-    for (const fl::ClientUpdate& u : updates) {
-      weights[u.client_id] = u.weights;
-      loss_sum += u.train_loss;
-    }
-
-    const bool last = round + 1 == rounds;
-    if (last || (round + 1) % federation.config().eval_every == 0) {
-      const fl::AccuracySummary acc =
-          federation.evaluate_personalized([&](std::size_t cid) {
-            return std::span<const float>(weights[cid]);
-          });
-      result.rounds.push_back(fl::make_round_metrics(
-          round, acc, loss_sum / static_cast<double>(updates.size()),
-          federation, n, check::weights_fingerprint(weights)));
-      if (last) result.final_accuracy = acc;
-    }
+  std::vector<std::size_t> everyone(weights_.size());
+  for (std::size_t i = 0; i < everyone.size(); ++i) everyone[i] = i;
+  const std::vector<fl::ClientUpdate> updates = federation.train_clients(
+      everyone, round,
+      [&](std::size_t cid) { return std::span<const float>(weights_[cid]); },
+      nullptr, /*allow_failures=*/true, &no_traffic);
+  double loss_sum = 0.0;
+  for (const fl::ClientUpdate& u : updates) {
+    weights_[u.client_id] = u.weights;
+    loss_sum += u.train_loss;
   }
-  return result;
+  return loss_sum / static_cast<double>(updates.size());
+}
+
+fl::AccuracySummary LocalOnly::evaluate(
+    const fl::Federation& federation) const {
+  return federation.evaluate_personalized([&](std::size_t cid) {
+    return std::span<const float>(weights_[cid]);
+  });
+}
+
+std::uint64_t LocalOnly::fingerprint() const {
+  return check::weights_fingerprint(weights_);
+}
+
+void LocalOnly::finish(fl::RunResult& result) {
+  result.cluster_labels.resize(weights_.size());
+  for (std::size_t i = 0; i < weights_.size(); ++i) {
+    result.cluster_labels[i] = i;
+  }
 }
 
 }  // namespace fedclust::algorithms

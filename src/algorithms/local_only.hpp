@@ -17,7 +17,18 @@ class LocalOnly : public fl::Algorithm {
   LocalOnly() = default;
 
   std::string name() const override { return "LocalOnly"; }
-  fl::RunResult run(fl::Federation& federation, std::size_t rounds) override;
+  std::size_t begin(fl::Federation& federation,
+                    fl::RunResult& result) override;
+  double sync_round(fl::Federation& federation, std::size_t round) override;
+  fl::AccuracySummary evaluate(const fl::Federation& federation) const override;
+  std::uint64_t fingerprint() const override;
+  /// Every client is its own "cluster".
+  std::size_t num_clusters() const override { return weights_.size(); }
+  void finish(fl::RunResult& result) override;
+
+ private:
+  /// One model per client; persists across rounds.
+  std::vector<std::vector<float>> weights_;
 };
 
 }  // namespace fedclust::algorithms

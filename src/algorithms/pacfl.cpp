@@ -6,6 +6,7 @@
 #include "algorithms/common.hpp"
 #include "check/audit.hpp"
 #include "linalg/svd.hpp"
+#include "robust/checkpoint.hpp"
 
 namespace fedclust::algorithms {
 namespace {
@@ -108,15 +109,12 @@ std::vector<std::size_t> Pacfl::cluster_clients(
   return labels;
 }
 
-std::vector<std::size_t> Pacfl::formation(
-    fl::Federation& federation, fl::RunResult& result,
-    std::vector<std::vector<float>>& cluster_weights_out) const {
+std::size_t Pacfl::begin(fl::Federation& federation, fl::RunResult& result) {
   // Round 0: one-shot clustering from data subspaces (upload only — no
   // model travels).
   federation.comm().begin_round(0);
   std::vector<std::size_t> basis_floats;
-  std::vector<std::size_t> labels =
-      cluster_clients(federation, nullptr, nullptr, &basis_floats);
+  labels_ = cluster_clients(federation, nullptr, nullptr, &basis_floats);
   for (std::size_t c = 0; c < basis_floats.size(); ++c) {
     federation.meter_upload(c, basis_floats[c]);
   }
@@ -139,47 +137,47 @@ std::vector<std::size_t> Pacfl::formation(
     federation.simulate_network_round(0, ops, /*reliable=*/true);
   }
 
-  cluster_weights_out.assign(cluster::num_clusters(labels),
-                             federation.template_model().flat_weights());
-
-  const fl::AccuracySummary acc =
-      evaluate_clustered(federation, labels, cluster_weights_out);
+  cluster_weights_.assign(cluster::num_clusters(labels_),
+                          federation.template_model().flat_weights());
   result.rounds.push_back(fl::make_round_metrics(
-      0, acc, 0.0, federation, cluster_weights_out.size(),
-      check::weights_fingerprint(cluster_weights_out)));
-  return labels;
+      0, evaluate(federation), 0.0, federation, num_clusters(),
+      fingerprint()));
+  return 1;
 }
 
-fl::RunResult Pacfl::run(fl::Federation& federation, std::size_t rounds) {
-  FEDCLUST_REQUIRE(rounds >= 2, "PACFL needs the formation round plus at "
-                                "least one training round");
-  federation.reset_comm();
+double Pacfl::sync_round(fl::Federation& federation, std::size_t round) {
+  return per_cluster_fedavg_round(federation, round, labels_,
+                                  cluster_weights_);
+}
 
-  fl::RunResult result;
-  result.algorithm = name();
+fl::AccuracySummary Pacfl::evaluate(const fl::Federation& federation) const {
+  return evaluate_clustered(federation, labels_, cluster_weights_);
+}
 
-  std::vector<std::vector<float>> cluster_weights;
-  const std::vector<std::size_t> labels =
-      formation(federation, result, cluster_weights);
+std::uint64_t Pacfl::fingerprint() const {
+  return check::weights_fingerprint(cluster_weights_);
+}
 
-  // Rounds 1..R-1: per-cluster FedAvg.
-  for (std::size_t round = 1; round < rounds; ++round) {
-    federation.comm().begin_round(round);
-    const double loss = per_cluster_fedavg_round(federation, round, labels,
-                                                 cluster_weights);
-    const bool last = round + 1 == rounds;
-    if (last || (round + 1) % federation.config().eval_every == 0) {
-      const fl::AccuracySummary acc =
-          evaluate_clustered(federation, labels, cluster_weights);
-      result.rounds.push_back(fl::make_round_metrics(
-          round, acc, loss, federation, cluster_weights.size(),
-          check::weights_fingerprint(cluster_weights)));
-      if (last) result.final_accuracy = acc;
-    }
-  }
+void Pacfl::finish(fl::RunResult& result) { result.cluster_labels = labels_; }
 
-  result.cluster_labels = labels;
-  return result;
+std::span<const float> Pacfl::cluster_model(std::size_t cluster) const {
+  return std::span<const float>(cluster_weights_.at(cluster));
+}
+
+void Pacfl::set_cluster_model(std::size_t cluster,
+                              std::vector<float> weights) {
+  cluster_weights_.at(cluster) = std::move(weights);
+}
+
+void Pacfl::save_state(robust::RunCheckpoint& checkpoint) const {
+  checkpoint.labels.assign(labels_.begin(), labels_.end());
+  checkpoint.cluster_weights = cluster_weights_;
+}
+
+void Pacfl::restore_state(fl::Federation&,
+                          const robust::RunCheckpoint& checkpoint) {
+  labels_.assign(checkpoint.labels.begin(), checkpoint.labels.end());
+  cluster_weights_ = checkpoint.cluster_weights;
 }
 
 }  // namespace fedclust::algorithms

@@ -33,37 +33,52 @@ struct PacflConfig {
   double min_gap_ratio = 2.0;
 };
 
+/// One-shot data-subspace clustering in begin(), then static
+/// per-cluster FedAvg — async-capable.
 class Pacfl : public fl::Algorithm {
  public:
   explicit Pacfl(PacflConfig config) : config_(config) {}
 
   std::string name() const override { return "PACFL"; }
-  fl::RunResult run(fl::Federation& federation, std::size_t rounds) override;
-
   const PacflConfig& config() const { return config_; }
 
   /// The one-shot clustering step alone (exposed for tests/ablations):
   /// returns per-client labels and, through `dissimilarity_out` if
   /// non-null, the angle matrix. `upload_bytes_out` receives the total
   /// wire cost of shipping every basis; `basis_floats_out` the per-client
-  /// basis sizes in float32 values (what run() meters and simulates).
+  /// basis sizes in float32 values (what begin() meters and simulates).
   std::vector<std::size_t> cluster_clients(
       const fl::Federation& federation, Matrix* dissimilarity_out = nullptr,
       std::uint64_t* upload_bytes_out = nullptr,
       std::vector<std::size_t>* basis_floats_out = nullptr) const;
 
-  /// The whole round-0 phase as run() executes it: opens comm round 0,
-  /// clusters from subspace bases, meters and simulates the basis
-  /// uploads, seeds one template copy per cluster into
-  /// `cluster_weights_out`, and appends the round-0 metrics entry.
-  /// Returns the labels. Shared by run() and the async adapter so
-  /// formation is one code path.
-  std::vector<std::size_t> formation(
-      fl::Federation& federation, fl::RunResult& result,
-      std::vector<std::vector<float>>& cluster_weights_out) const;
+  /// Round 0: clusters from subspace bases, meters and simulates the
+  /// basis uploads, seeds one template copy per cluster, and appends the
+  /// round-0 metrics entry. Returns 1.
+  std::size_t begin(fl::Federation& federation,
+                    fl::RunResult& result) override;
+  double sync_round(fl::Federation& federation, std::size_t round) override;
+  fl::AccuracySummary evaluate(const fl::Federation& federation) const override;
+  std::uint64_t fingerprint() const override;
+  std::size_t num_clusters() const override { return cluster_weights_.size(); }
+  void finish(fl::RunResult& result) override;
+
+  bool supports_async() const override { return true; }
+  std::size_t cluster_of(std::size_t client) const override {
+    return labels_.at(client);
+  }
+  std::span<const float> cluster_model(std::size_t cluster) const override;
+  void set_cluster_model(std::size_t cluster,
+                         std::vector<float> weights) override;
+
+  void save_state(robust::RunCheckpoint& checkpoint) const override;
+  void restore_state(fl::Federation& federation,
+                     const robust::RunCheckpoint& checkpoint) override;
 
  private:
   PacflConfig config_;
+  std::vector<std::size_t> labels_;
+  std::vector<std::vector<float>> cluster_weights_;
 };
 
 }  // namespace fedclust::algorithms

@@ -12,6 +12,7 @@
 #include "cluster/dynamic.hpp"
 #include "cluster/metrics.hpp"
 #include "cluster/routing.hpp"
+#include "fl/async.hpp"
 #include "fl/trainer.hpp"
 
 namespace fedclust::core {
@@ -220,7 +221,7 @@ ClusteringOutcome FedClust::form_clusters(fl::Federation& federation,
   }
   // The cut above labeled the reporters (proximity rows); expand to a
   // per-client vector. Deferred clients hold a provisional 0 until the
-  // newcomer path places them (run() does this before round 1).
+  // newcomer path places them (formation_phase does this in round 0).
   if (out.reporters.size() != n) {
     std::vector<std::size_t> full(n, 0);
     for (std::size_t i = 0; i < out.reporters.size(); ++i) {
@@ -346,101 +347,85 @@ ClusteringOutcome FedClust::formation_phase(
   return outcome;
 }
 
-fl::RunResult FedClust::run(fl::Federation& federation, std::size_t rounds) {
-  FEDCLUST_REQUIRE(rounds >= 2, "FedClust needs the formation round plus at "
-                                "least one training round");
-  federation.reset_comm();
-
-  fl::RunResult result;
-  result.algorithm = name();
-
-  std::vector<std::size_t> labels;
-  std::vector<std::vector<float>> cluster_weights;
-  ClusteringOutcome outcome =
-      formation_phase(federation, result, labels, cluster_weights);
-  std::optional<fl::DriftDetector> detector;
+std::size_t FedClust::begin(fl::Federation& federation,
+                            fl::RunResult& result) {
+  detector_.reset();
+  recoveries_ = 0;
+  outcome_ = formation_phase(federation, result, labels_, cluster_weights_);
   if (config_.dynamic.enabled) {
-    detector.emplace(config_.dynamic.detector);
-    detector->start(cluster_weights.size());
+    detector_.emplace(config_.dynamic.detector);
+    detector_->start(cluster_weights_.size());
   }
   if (config_.checkpoint_every > 0) {
     robust::save_checkpoint(
-        make_checkpoint(federation, /*next_round=*/1, labels, cluster_weights,
-                        outcome, result,
-                        detector ? &*detector : nullptr, /*recoveries=*/0),
+        fl::capture_checkpoint(federation, *this, result, /*next_round=*/1),
         config_.checkpoint_path);
   }
-
-  // Rounds 1..R-1: FedAvg within each cluster.
-  run_rounds(federation, 1, rounds, labels, cluster_weights, outcome, result,
-             detector ? &*detector : nullptr, /*recoveries=*/0);
-
-  result.cluster_labels = labels;
-  result.cluster_weights = std::move(cluster_weights);
-  last_clustering_ = std::move(outcome);
-  return result;
+  return 1;
 }
 
-void FedClust::run_rounds(fl::Federation& federation, std::size_t first,
-                          std::size_t rounds,
-                          std::vector<std::size_t>& labels,
-                          std::vector<std::vector<float>>& cluster_weights,
-                          ClusteringOutcome& outcome, fl::RunResult& result,
-                          fl::DriftDetector* detector,
-                          std::size_t recoveries) {
-  for (std::size_t round = first; round < rounds; ++round) {
-    federation.comm().begin_round(round);
-    if (federation.drift_enabled()) {
-      admit_churn(federation, round, labels, outcome, detector);
-    }
-    const double loss = algorithms::per_cluster_fedavg_round(
-        federation, round, labels, cluster_weights);
-    const bool last = round + 1 == rounds;
-    if (last || (round + 1) % federation.config().eval_every == 0) {
-      fl::AccuracySummary acc = algorithms::evaluate_clustered(
-          federation, labels, cluster_weights);
-      fl::RoundMetrics metrics = fl::make_round_metrics(
-          round, acc, loss, federation, cluster_weights.size(),
-          check::weights_fingerprint(cluster_weights));
-      if (detector != nullptr) {
-        const std::vector<fl::DriftAlarm> alarms = detector->observe(
-            round,
-            cluster_accuracies(acc, labels, cluster_weights.size()));
-        metrics.drift_score = detector->last_score();
-        metrics.drift_alarms = alarms.size();
-        const bool budget_left = config_.dynamic.max_recoveries == 0 ||
-                                 recoveries < config_.dynamic.max_recoveries;
-        if (!alarms.empty() && !last && budget_left) {
-          const std::size_t applied = recover_clusters(
-              federation, round, alarms, labels, cluster_weights, outcome,
-              *detector);
-          metrics.reclusters = applied;
-          if (applied > 0) {
-            ++recoveries;
-            // The partition changed after the eval above: fingerprint
-            // and cluster count should describe what round+1 trains on.
-            metrics.num_clusters = cluster_weights.size();
-            metrics.weights_fp = check::weights_fingerprint(cluster_weights);
-          }
-        }
+double FedClust::sync_round(fl::Federation& federation, std::size_t round) {
+  if (federation.drift_enabled()) admit_churn(federation, round);
+  // FedAvg within each cluster.
+  return algorithms::per_cluster_fedavg_round(federation, round, labels_,
+                                              cluster_weights_);
+}
+
+void FedClust::after_round(fl::Federation& federation, std::size_t round,
+                           bool last, const fl::AccuracySummary* acc,
+                           fl::RunResult& result) {
+  if (acc != nullptr && detector_) {
+    fl::RoundMetrics& metrics = result.rounds.back();
+    const std::vector<fl::DriftAlarm> alarms = detector_->observe(
+        round, cluster_accuracies(*acc, labels_, cluster_weights_.size()));
+    metrics.drift_score = detector_->last_score();
+    metrics.drift_alarms = alarms.size();
+    const bool budget_left = config_.dynamic.max_recoveries == 0 ||
+                             recoveries_ < config_.dynamic.max_recoveries;
+    if (!alarms.empty() && !last && budget_left) {
+      const std::size_t applied = recover_clusters(federation, round, alarms);
+      metrics.reclusters = applied;
+      if (applied > 0) {
+        ++recoveries_;
+        // The partition changed after the eval: fingerprint and cluster
+        // count should describe what round+1 trains on.
+        metrics.num_clusters = cluster_weights_.size();
+        metrics.weights_fp = fingerprint();
       }
-      result.rounds.push_back(metrics);
-      if (last) result.final_accuracy = acc;
     }
-    if (config_.checkpoint_every > 0 &&
-        round % config_.checkpoint_every == 0) {
-      robust::save_checkpoint(
-          make_checkpoint(federation, round + 1, labels, cluster_weights,
-                          outcome, result, detector, recoveries),
-          config_.checkpoint_path);
-    }
+  }
+  if (config_.checkpoint_every > 0 && round % config_.checkpoint_every == 0) {
+    robust::save_checkpoint(
+        fl::capture_checkpoint(federation, *this, result, round + 1),
+        config_.checkpoint_path);
   }
 }
 
-void FedClust::admit_churn(fl::Federation& federation, std::size_t round,
-                           std::vector<std::size_t>& labels,
-                           ClusteringOutcome& outcome,
-                           fl::DriftDetector* detector) const {
+fl::AccuracySummary FedClust::evaluate(
+    const fl::Federation& federation) const {
+  return algorithms::evaluate_clustered(federation, labels_, cluster_weights_);
+}
+
+std::uint64_t FedClust::fingerprint() const {
+  return check::weights_fingerprint(cluster_weights_);
+}
+
+void FedClust::finish(fl::RunResult& result) {
+  result.cluster_labels = labels_;
+  result.cluster_weights = cluster_weights_;
+}
+
+std::span<const float> FedClust::cluster_model(std::size_t cluster) const {
+  return std::span<const float>(cluster_weights_.at(cluster));
+}
+
+void FedClust::set_cluster_model(std::size_t cluster,
+                                 std::vector<float> weights) {
+  cluster_weights_.at(cluster) = std::move(weights);
+}
+
+void FedClust::admit_churn(fl::Federation& federation, std::size_t round) {
+  ClusteringOutcome& outcome = *outcome_;
   const robust::DriftPlan* plan = federation.drift_plan();
   // Sets the drifted fleet's round and forgives the arrivals' inherited
   // quarantine strikes before anything samples or trains this round.
@@ -451,8 +436,8 @@ void FedClust::admit_churn(fl::Federation& federation, std::size_t round,
     // its label (it simply stops being sampled) but must never pull a
     // future newcomer toward the old tenant's weights.
     outcome.partial_weights[slot].clear();
-    if (detector != nullptr) {
-      detector->note(round, fl::DriftLogKind::kDeparture, slot);
+    if (detector_) {
+      detector_->note(round, fl::DriftLogKind::kDeparture, slot);
     }
   }
 
@@ -481,26 +466,24 @@ void FedClust::admit_churn(fl::Federation& federation, std::size_t round,
     federation.meter_download(slot, federation.model_size());
     federation.meter_upload(slot, partial_floats);
     std::vector<float> partial;
-    labels[slot] = assign_newcomer(
+    labels_[slot] = assign_newcomer(
         federation.template_model(), federation.client_data(slot)->train,
         federation.config().local,
         federation.client_rng(slot, round).split(kNewcomerWarmupTag), outcome,
         &partial);
     outcome.partial_weights[slot] = std::move(partial);
-    outcome.labels[slot] = labels[slot];
-    if (detector != nullptr) {
-      detector->note(round, fl::DriftLogKind::kArrival, slot,
-                     static_cast<double>(labels[slot]));
+    outcome.labels[slot] = labels_[slot];
+    if (detector_) {
+      detector_->note(round, fl::DriftLogKind::kArrival, slot,
+                      static_cast<double>(labels_[slot]));
     }
   }
 }
 
 std::size_t FedClust::recover_clusters(
     fl::Federation& federation, std::size_t round,
-    const std::vector<fl::DriftAlarm>& alarms,
-    std::vector<std::size_t>& labels,
-    std::vector<std::vector<float>>& cluster_weights,
-    ClusteringOutcome& outcome, fl::DriftDetector& detector) const {
+    const std::vector<fl::DriftAlarm>& alarms) {
+  ClusteringOutcome& outcome = *outcome_;
   std::vector<std::size_t> flagged;
   flagged.reserve(alarms.size());
   for (const fl::DriftAlarm& a : alarms) flagged.push_back(a.cluster);
@@ -511,8 +494,8 @@ std::size_t FedClust::recover_clusters(
   // exchange, so the repair sees the drifted distributions — the stored
   // round-0 anchors are exactly what drift invalidated.
   std::vector<std::size_t> members;
-  for (std::size_t c = 0; c < labels.size(); ++c) {
-    if (!std::binary_search(flagged.begin(), flagged.end(), labels[c])) {
+  for (std::size_t c = 0; c < labels_.size(); ++c) {
+    if (!std::binary_search(flagged.begin(), flagged.end(), labels_[c])) {
       continue;
     }
     if (!federation.client_active(round, c)) continue;
@@ -521,7 +504,7 @@ std::size_t FedClust::recover_clusters(
   if (members.empty()) {
     // Nothing to re-anchor (everyone departed); the detector still
     // resets so the dead cluster cannot re-alarm every eval.
-    detector.reset(round, cluster_weights.size());
+    detector_->reset(round, cluster_weights_.size());
     return 0;
   }
 
@@ -563,167 +546,71 @@ std::size_t FedClust::recover_clusters(
   rc.threshold = outcome.threshold;
   rc.gaussian_sigma = config_.dynamic.gaussian_sigma;
   rc.reassign_margin = config_.dynamic.reassign_margin;
-  std::vector<std::uint8_t> active(labels.size(), 1);
-  for (std::size_t c = 0; c < labels.size(); ++c) {
+  std::vector<std::uint8_t> active(labels_.size(), 1);
+  for (std::size_t c = 0; c < labels_.size(); ++c) {
     active[c] = federation.client_active(round, c) ? 1 : 0;
   }
   const cluster::ReclusterResult repaired =
-      cluster::recluster(outcome.partial_weights, labels, flagged, active, rc);
+      cluster::recluster(outcome.partial_weights, labels_, flagged, active, rc);
 
   // Server models follow the parent mapping: kept clusters keep their
   // model, splits start from the flagged parent's, drained ones vanish.
   std::vector<std::vector<float>> next(repaired.parent.size());
   for (std::size_t j = 0; j < repaired.parent.size(); ++j) {
-    next[j] = cluster_weights[repaired.parent[j]];
+    next[j] = cluster_weights_[repaired.parent[j]];
   }
-  cluster_weights = std::move(next);
-  labels = repaired.labels;
-  outcome.labels = labels;
+  cluster_weights_ = std::move(next);
+  labels_ = repaired.labels;
+  outcome.labels = labels_;
   if (federation.config().audit) {
-    check::audit_cluster_partition(labels);
+    check::audit_cluster_partition(labels_);
   }
-  detector.reset(round, cluster_weights.size());
+  detector_->reset(round, cluster_weights_.size());
   return 1;
 }
 
-robust::RunCheckpoint FedClust::make_checkpoint(
-    const fl::Federation& federation, std::size_t next_round,
-    const std::vector<std::size_t>& labels,
-    const std::vector<std::vector<float>>& cluster_weights,
-    const ClusteringOutcome& outcome, const fl::RunResult& result,
-    const fl::DriftDetector* detector, std::size_t recoveries) const {
-  robust::RunCheckpoint ck;
-  ck.next_round = next_round;
-  ck.seed = federation.config().seed;
-  ck.labels.assign(labels.begin(), labels.end());
-  ck.cluster_weights = cluster_weights;
-  ck.partial_weights = outcome.partial_weights;
-  if (detector != nullptr) {
-    ck.drift = detector->snapshot(recoveries);
-    ck.drift.threshold = outcome.threshold;
+void FedClust::save_state(robust::RunCheckpoint& checkpoint) const {
+  checkpoint.labels.assign(labels_.begin(), labels_.end());
+  checkpoint.cluster_weights = cluster_weights_;
+  checkpoint.partial_weights = outcome_->partial_weights;
+  if (detector_) {
+    checkpoint.drift = detector_->snapshot(recoveries_);
+    checkpoint.drift.threshold = outcome_->threshold;
   }
-  ck.rounds.reserve(result.rounds.size());
-  for (const fl::RoundMetrics& m : result.rounds) {
-    ck.rounds.push_back(robust::RoundRecord{
-        .round = m.round,
-        .acc_mean = m.acc_mean,
-        .acc_std = m.acc_std,
-        .train_loss = m.train_loss,
-        .cum_upload = m.cum_upload,
-        .cum_download = m.cum_download,
-        .num_clusters = m.num_clusters,
-        .sim_seconds = m.sim_seconds,
-        .weights_fp = m.weights_fp,
-        .drift_score = m.drift_score,
-        .drift_alarms = m.drift_alarms,
-        .reclusters = m.reclusters});
-  }
-  const fl::CommMeter& comm = federation.comm();
-  ck.comm.round_download = comm.round_download();
-  ck.comm.round_upload = comm.round_upload();
-  ck.comm.client_download = comm.per_client_download();
-  ck.comm.client_upload = comm.per_client_upload();
-  ck.comm.total_download = comm.total_download();
-  ck.comm.total_upload = comm.total_upload();
-  if (federation.network_enabled()) {
-    ck.net.present = true;
-    ck.net.clock = federation.network()->now();
-    ck.net.log = federation.network()->log();
-  }
-  const robust::Quarantine& q = federation.quarantine();
-  ck.quarantine_counts.assign(q.strike_counts().begin(),
-                              q.strike_counts().end());
-  ck.quarantine_max_strikes = q.max_strikes();
-  return ck;
 }
 
-fl::RunResult FedClust::resume(fl::Federation& federation,
-                               const robust::RunCheckpoint& checkpoint,
-                               std::size_t rounds) {
-  FEDCLUST_REQUIRE(checkpoint.seed == federation.config().seed,
-                   "checkpoint seed " << checkpoint.seed
-                                      << " does not match federation seed "
-                                      << federation.config().seed);
-  FEDCLUST_REQUIRE(checkpoint.labels.size() == federation.num_clients(),
-                   "checkpoint covers " << checkpoint.labels.size()
-                                        << " clients, federation has "
-                                        << federation.num_clients());
-  FEDCLUST_REQUIRE(checkpoint.next_round >= 1 && checkpoint.next_round < rounds,
-                   "cannot resume at round " << checkpoint.next_round
-                                             << " of a " << rounds
-                                             << "-round run");
-  FEDCLUST_REQUIRE(
-      checkpoint.net.present == federation.network_enabled(),
-      "checkpoint and federation disagree on the network simulator");
-
-  federation.comm().restore(checkpoint.comm.round_download,
-                            checkpoint.comm.round_upload,
-                            checkpoint.comm.client_download,
-                            checkpoint.comm.client_upload,
-                            checkpoint.comm.total_download,
-                            checkpoint.comm.total_upload);
-  FEDCLUST_REQUIRE(federation.comm().round_count() == checkpoint.next_round,
-                   "checkpoint comm series inconsistent with round index");
-  if (federation.network_enabled()) {
-    federation.network()->restore(checkpoint.net.clock, checkpoint.net.log);
-  }
-  federation.quarantine().restore(
-      std::vector<std::size_t>(checkpoint.quarantine_counts.begin(),
-                               checkpoint.quarantine_counts.end()),
-      checkpoint.quarantine_max_strikes);
-
-  fl::RunResult result;
-  result.algorithm = name();
-  result.rounds.reserve(checkpoint.rounds.size());
-  for (const robust::RoundRecord& m : checkpoint.rounds) {
-    result.rounds.push_back(fl::RoundMetrics{
-        .round = static_cast<std::size_t>(m.round),
-        .acc_mean = m.acc_mean,
-        .acc_std = m.acc_std,
-        .train_loss = m.train_loss,
-        .cum_upload = m.cum_upload,
-        .cum_download = m.cum_download,
-        .num_clusters = static_cast<std::size_t>(m.num_clusters),
-        .sim_seconds = m.sim_seconds,
-        .weights_fp = m.weights_fp,
-        .drift_score = m.drift_score,
-        .drift_alarms = static_cast<std::size_t>(m.drift_alarms),
-        .reclusters = static_cast<std::size_t>(m.reclusters)});
-  }
-
-  std::vector<std::size_t> labels(checkpoint.labels.begin(),
-                                  checkpoint.labels.end());
-  std::vector<std::vector<float>> cluster_weights = checkpoint.cluster_weights;
-  ClusteringOutcome outcome;
-  outcome.partial_weights = checkpoint.partial_weights;
-  outcome.labels = labels;
+void FedClust::restore_state(fl::Federation& federation,
+                             const robust::RunCheckpoint& checkpoint) {
+  labels_.assign(checkpoint.labels.begin(), checkpoint.labels.end());
+  cluster_weights_ = checkpoint.cluster_weights;
+  outcome_.emplace();
+  outcome_->partial_weights = checkpoint.partial_weights;
+  outcome_->labels = labels_;
   // Dynamic checkpoints carry the formation run's applied cut; static
   // ones never split, so the config value (possibly 0) is fine.
-  outcome.threshold =
+  outcome_->threshold =
       checkpoint.drift.present ? checkpoint.drift.threshold : config_.threshold;
 
-  std::optional<fl::DriftDetector> detector;
-  std::size_t recoveries = 0;
+  detector_.reset();
+  recoveries_ = 0;
   if (config_.dynamic.enabled) {
-    detector.emplace(config_.dynamic.detector);
+    detector_.emplace(config_.dynamic.detector);
     if (checkpoint.drift.present) {
-      detector->restore(checkpoint.drift);
-      recoveries = static_cast<std::size_t>(checkpoint.drift.recoveries);
+      detector_->restore(checkpoint.drift);
+      recoveries_ = static_cast<std::size_t>(checkpoint.drift.recoveries);
     } else {
-      detector->start(cluster_weights.size());
+      detector_->start(cluster_weights_.size());
     }
   }
   if (federation.drift_enabled()) {
     federation.drift_resume(checkpoint.next_round);
   }
+}
 
-  run_rounds(federation, checkpoint.next_round, rounds, labels,
-             cluster_weights, outcome, result,
-             detector ? &*detector : nullptr, recoveries);
-  result.cluster_labels = labels;
-  result.cluster_weights = std::move(cluster_weights);
-  last_clustering_ = std::move(outcome);
-  return result;
+fl::RunResult FedClust::resume(fl::Federation& federation,
+                               const robust::RunCheckpoint& checkpoint,
+                               std::size_t rounds) {
+  return fl::resume_synchronized(federation, *this, checkpoint, rounds);
 }
 
 std::size_t FedClust::assign_newcomer(

@@ -136,8 +136,8 @@ struct ClusteringOutcome {
   std::uint64_t download_bytes = 0;
   /// Sorted ids whose formation upload arrived (possibly after retries).
   std::vector<std::size_t> reporters;
-  /// Sorted ids still missing after every retry — run() admits them via
-  /// the newcomer path before round 1.
+  /// Sorted ids still missing after every retry — formation_phase admits
+  /// them via the newcomer path before round 1.
   std::vector<std::size_t> deferred;
   /// Clients solicited in each retry wave (wave w = attempt w + 1), for
   /// download metering.
@@ -146,35 +146,40 @@ struct ClusteringOutcome {
   bool fallback_global = false;
 };
 
+/// The paper's method as one fl::Algorithm: begin() is the round-0
+/// formation phase, sync_round() is per-cluster FedAvg (with churn
+/// admission at its top under a drift plan), and after_round() holds the
+/// sync-only extensions — drift detection → recover_clusters and the
+/// periodic checkpoint write. Async-capable unless one of those sync-only
+/// knobs (dynamic.enabled, checkpoint_every) is set.
 class FedClust : public fl::Algorithm {
  public:
   explicit FedClust(FedClustConfig config) : config_(config) {}
 
   std::string name() const override { return "FedClust"; }
-  fl::RunResult run(fl::Federation& federation, std::size_t rounds) override;
 
   const FedClustConfig& config() const { return config_; }
 
   /// The one-shot formation step alone (round 0). Exposed for the Fig. 1
   /// reproduction, the ablations, and the newcomer bench. Does not meter
-  /// communication; run() does.
+  /// communication; formation_phase does.
   ClusteringOutcome form_clusters(fl::Federation& federation,
                                   std::size_t round = 0) const;
 
-  /// The whole round-0 phase as run() executes it: opens comm round 0,
+  /// The whole round-0 phase as begin() executes it: opens comm round 0,
   /// forms clusters, meters the formation traffic, warm-starts the
   /// classifier slices, admits deferred clients via the newcomer path,
   /// and appends the round-0 metrics entry. Fills `labels_out` /
-  /// `cluster_weights_out` and returns the clustering outcome. Shared by
-  /// run() and the async adapter so formation is one code path.
+  /// `cluster_weights_out` and returns the clustering outcome.
   ClusteringOutcome formation_phase(
       fl::Federation& federation, fl::RunResult& result,
       std::vector<std::size_t>& labels_out,
       std::vector<std::vector<float>>& cluster_weights_out) const;
 
-  /// State captured by the last run() (empty before the first run).
+  /// Formation artifacts of the current (or last) run; empty before the
+  /// first run. Kept for newcomer admission and serving.
   const std::optional<ClusteringOutcome>& last_clustering() const {
-    return last_clustering_;
+    return outcome_;
   }
 
   /// Dynamic newcomer admission: trains `newcomer_train` locally from the
@@ -189,55 +194,59 @@ class FedClust : public fl::Algorithm {
                               Rng rng, const ClusteringOutcome& outcome,
                               std::vector<float>* partial_out = nullptr) const;
 
-  /// Continues a killed run from a checkpoint written by this config.
-  /// The federation must be constructed with the same data, config, and
-  /// seed as the original run; every per-(round, client) stream is
-  /// derived functionally from the seed, so the resumed trajectory is
-  /// bit-identical to the uninterrupted one (same per-round weights_fp).
+  /// Continues a killed run from a checkpoint written by this config:
+  /// fl::resume_synchronized(federation, *this, checkpoint, rounds).
   fl::RunResult resume(fl::Federation& federation,
                        const robust::RunCheckpoint& checkpoint,
                        std::size_t rounds);
 
+  // -- fl::Algorithm --------------------------------------------------------
+  std::size_t begin(fl::Federation& federation,
+                    fl::RunResult& result) override;
+  double sync_round(fl::Federation& federation, std::size_t round) override;
+  void after_round(fl::Federation& federation, std::size_t round, bool last,
+                   const fl::AccuracySummary* acc,
+                   fl::RunResult& result) override;
+  fl::AccuracySummary evaluate(const fl::Federation& federation) const override;
+  std::uint64_t fingerprint() const override;
+  std::size_t num_clusters() const override { return cluster_weights_.size(); }
+  void finish(fl::RunResult& result) override;
+
+  bool supports_async() const override {
+    return !config_.dynamic.enabled && config_.checkpoint_every == 0;
+  }
+  std::size_t cluster_of(std::size_t client) const override {
+    return labels_.at(client);
+  }
+  std::span<const float> cluster_model(std::size_t cluster) const override;
+  void set_cluster_model(std::size_t cluster,
+                         std::vector<float> weights) override;
+
+  void save_state(robust::RunCheckpoint& checkpoint) const override;
+  void restore_state(fl::Federation& federation,
+                     const robust::RunCheckpoint& checkpoint) override;
+
  private:
-  /// Rounds [first, rounds): per-cluster FedAvg + metrics + checkpoint
-  /// writes, plus — under a drift plan / dynamic mode — churn admission,
-  /// drift detection, and split/merge recovery (labels, cluster models
-  /// and stored anchors then evolve in place). Shared by run() and
-  /// resume(); `detector` is null for static runs, `recoveries` seeds
-  /// the recovery budget (non-zero when resuming).
-  void run_rounds(fl::Federation& federation, std::size_t first,
-                  std::size_t rounds, std::vector<std::size_t>& labels,
-                  std::vector<std::vector<float>>& cluster_weights,
-                  ClusteringOutcome& outcome, fl::RunResult& result,
-                  fl::DriftDetector* detector, std::size_t recoveries);
   /// Departure/arrival handling at round entry: departed slots lose
   /// their stored anchor, newcomers run the paper's solo warmup and are
   /// routed to the nearest cluster (reliably simulated + metered).
-  void admit_churn(fl::Federation& federation, std::size_t round,
-                   std::vector<std::size_t>& labels,
-                   ClusteringOutcome& outcome,
-                   fl::DriftDetector* detector) const;
+  void admit_churn(fl::Federation& federation, std::size_t round);
   /// Alarm response: re-solicit fresh anchors from the flagged clusters'
   /// active members, repair the partition via cluster::recluster, remap
   /// the server models along the parent mapping, reset the detector.
   /// Returns the number of re-clusterings applied (0 when no flagged
   /// cluster had an active member to re-anchor).
   std::size_t recover_clusters(fl::Federation& federation, std::size_t round,
-                               const std::vector<fl::DriftAlarm>& alarms,
-                               std::vector<std::size_t>& labels,
-                               std::vector<std::vector<float>>& cluster_weights,
-                               ClusteringOutcome& outcome,
-                               fl::DriftDetector& detector) const;
-  /// Snapshot of everything resume() needs after `next_round - 1`.
-  robust::RunCheckpoint make_checkpoint(
-      const fl::Federation& federation, std::size_t next_round,
-      const std::vector<std::size_t>& labels,
-      const std::vector<std::vector<float>>& cluster_weights,
-      const ClusteringOutcome& outcome, const fl::RunResult& result,
-      const fl::DriftDetector* detector, std::size_t recoveries) const;
+                               const std::vector<fl::DriftAlarm>& alarms);
 
   FedClustConfig config_;
-  std::optional<ClusteringOutcome> last_clustering_;
+  // Per-run state; begin() / restore_state() reset all of it.
+  std::optional<ClusteringOutcome> outcome_;
+  std::vector<std::size_t> labels_;
+  std::vector<std::vector<float>> cluster_weights_;
+  /// Present only in dynamic mode.
+  std::optional<fl::DriftDetector> detector_;
+  std::size_t recoveries_ = 0;
 };
 
 }  // namespace fedclust::core

@@ -5,6 +5,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -33,53 +34,173 @@ std::vector<float> decay_toward(std::span<const float> current,
   return out;
 }
 
-std::span<const float> AsyncAdapter::cluster_model(std::size_t cluster) const {
-  (void)cluster;
+RunResult Algorithm::run(Federation& federation, std::size_t rounds) {
+  return run_synchronized(federation, *this, rounds);
+}
+
+void Algorithm::after_round(Federation&, std::size_t, bool,
+                            const AccuracySummary*, RunResult&) {}
+
+std::span<const float> Algorithm::cluster_model(std::size_t) const {
   FEDCLUST_CHECK(false, name() << " does not expose async cluster models");
   return {};
 }
 
-void AsyncAdapter::set_cluster_model(std::size_t cluster,
-                                     std::vector<float> weights) {
-  (void)cluster;
-  (void)weights;
+void Algorithm::set_cluster_model(std::size_t, std::vector<float>) {
   FEDCLUST_CHECK(false, name() << " does not expose async cluster models");
 }
 
-void AsyncAdapter::save_state(robust::RunCheckpoint& checkpoint) const {
-  (void)checkpoint;
-  FEDCLUST_CHECK(false, name() << " does not support async checkpoints");
+void Algorithm::save_state(robust::RunCheckpoint&) const {
+  FEDCLUST_CHECK(false, name() << " does not support checkpoints");
 }
 
-void AsyncAdapter::restore_state(Federation& federation,
-                                 const robust::RunCheckpoint& checkpoint) {
-  (void)federation;
-  (void)checkpoint;
-  FEDCLUST_CHECK(false, name() << " does not support async checkpoints");
+void Algorithm::restore_state(Federation&, const robust::RunCheckpoint&) {
+  FEDCLUST_CHECK(false, name() << " does not support checkpoints");
 }
 
-RunResult run_synchronized(Federation& federation, AsyncAdapter& adapter,
+namespace {
+
+/// Rounds [first, rounds) of the synchronous loop, appending to `result`.
+void run_rounds(Federation& federation, Algorithm& algorithm,
+                std::size_t first, std::size_t rounds, RunResult& result) {
+  for (std::size_t round = first; round < rounds; ++round) {
+    federation.comm().begin_round(round);
+    const double loss = algorithm.sync_round(federation, round);
+    const bool last = round + 1 == rounds;
+    std::optional<AccuracySummary> acc;
+    if (last || (round + 1) % federation.config().eval_every == 0) {
+      acc = algorithm.evaluate(federation);
+      result.rounds.push_back(make_round_metrics(
+          round, *acc, loss, federation, algorithm.num_clusters(),
+          algorithm.fingerprint()));
+      if (last) result.final_accuracy = *acc;
+    }
+    algorithm.after_round(federation, round, last, acc ? &*acc : nullptr,
+                          result);
+  }
+  algorithm.finish(result);
+}
+
+}  // namespace
+
+RunResult run_synchronized(Federation& federation, Algorithm& algorithm,
                            std::size_t rounds) {
   federation.reset_comm();
   RunResult result;
-  result.algorithm = adapter.name();
-  const std::size_t first = adapter.begin(federation, result);
+  result.algorithm = algorithm.name();
+  const std::size_t first = algorithm.begin(federation, result);
   FEDCLUST_REQUIRE(rounds > first,
-                   adapter.name() << " needs more than " << first
-                                  << " rounds (formation included)");
-  for (std::size_t round = first; round < rounds; ++round) {
-    federation.comm().begin_round(round);
-    const double loss = adapter.sync_round(federation, round);
-    const bool last = round + 1 == rounds;
-    if (last || (round + 1) % federation.config().eval_every == 0) {
-      const AccuracySummary acc = adapter.evaluate(federation);
-      result.rounds.push_back(make_round_metrics(round, acc, loss, federation,
-                                                 adapter.num_clusters(),
-                                                 adapter.fingerprint()));
-      if (last) result.final_accuracy = acc;
-    }
+                   algorithm.name() << " needs more than " << first
+                                    << " rounds (formation included)");
+  run_rounds(federation, algorithm, first, rounds, result);
+  return result;
+}
+
+RunResult resume_synchronized(Federation& federation, Algorithm& algorithm,
+                              const robust::RunCheckpoint& checkpoint,
+                              std::size_t rounds) {
+  FEDCLUST_REQUIRE(!checkpoint.async.present,
+                   "checkpoint was written by the async engine");
+  FEDCLUST_REQUIRE(checkpoint.labels.size() == federation.num_clients(),
+                   "checkpoint covers " << checkpoint.labels.size()
+                                        << " clients, federation has "
+                                        << federation.num_clients());
+  FEDCLUST_REQUIRE(checkpoint.next_round >= 1 && checkpoint.next_round < rounds,
+                   "cannot resume at round " << checkpoint.next_round
+                                             << " of a " << rounds
+                                             << "-round run");
+  RunResult result = restore_checkpoint(federation, algorithm, checkpoint);
+  FEDCLUST_REQUIRE(federation.comm().round_count() == checkpoint.next_round,
+                   "checkpoint comm series inconsistent with round index");
+  run_rounds(federation, algorithm,
+             static_cast<std::size_t>(checkpoint.next_round), rounds, result);
+  return result;
+}
+
+robust::RunCheckpoint capture_checkpoint(const Federation& federation,
+                                         const Algorithm& algorithm,
+                                         const RunResult& result,
+                                         std::size_t next_round) {
+  robust::RunCheckpoint ck;
+  ck.next_round = next_round;
+  ck.seed = federation.config().seed;
+  algorithm.save_state(ck);
+  ck.rounds.reserve(result.rounds.size());
+  for (const RoundMetrics& m : result.rounds) {
+    ck.rounds.push_back(robust::RoundRecord{.round = m.round,
+                                            .acc_mean = m.acc_mean,
+                                            .acc_std = m.acc_std,
+                                            .train_loss = m.train_loss,
+                                            .cum_upload = m.cum_upload,
+                                            .cum_download = m.cum_download,
+                                            .num_clusters = m.num_clusters,
+                                            .sim_seconds = m.sim_seconds,
+                                            .weights_fp = m.weights_fp,
+                                            .drift_score = m.drift_score,
+                                            .drift_alarms = m.drift_alarms,
+                                            .reclusters = m.reclusters});
   }
-  adapter.finish(result);
+  const CommMeter& comm = federation.comm();
+  ck.comm.round_download = comm.round_download();
+  ck.comm.round_upload = comm.round_upload();
+  ck.comm.client_download = comm.per_client_download();
+  ck.comm.client_upload = comm.per_client_upload();
+  ck.comm.total_download = comm.total_download();
+  ck.comm.total_upload = comm.total_upload();
+  if (federation.network_enabled()) {
+    ck.net.present = true;
+    ck.net.clock = federation.network()->now();
+    ck.net.log = federation.network()->log();
+  }
+  const robust::Quarantine& q = federation.quarantine();
+  ck.quarantine_counts.assign(q.strike_counts().begin(),
+                              q.strike_counts().end());
+  ck.quarantine_max_strikes = q.max_strikes();
+  return ck;
+}
+
+RunResult restore_checkpoint(Federation& federation, Algorithm& algorithm,
+                             const robust::RunCheckpoint& checkpoint) {
+  FEDCLUST_REQUIRE(checkpoint.seed == federation.config().seed,
+                   "checkpoint seed " << checkpoint.seed
+                                      << " does not match federation seed "
+                                      << federation.config().seed);
+  FEDCLUST_REQUIRE(
+      checkpoint.net.present == federation.network_enabled(),
+      "checkpoint and federation disagree on the network simulator");
+
+  RunResult result;
+  result.algorithm = algorithm.name();
+  result.rounds.reserve(checkpoint.rounds.size());
+  for (const robust::RoundRecord& m : checkpoint.rounds) {
+    result.rounds.push_back(RoundMetrics{
+        .round = static_cast<std::size_t>(m.round),
+        .acc_mean = m.acc_mean,
+        .acc_std = m.acc_std,
+        .train_loss = m.train_loss,
+        .cum_upload = m.cum_upload,
+        .cum_download = m.cum_download,
+        .num_clusters = static_cast<std::size_t>(m.num_clusters),
+        .sim_seconds = m.sim_seconds,
+        .weights_fp = m.weights_fp,
+        .drift_score = m.drift_score,
+        .drift_alarms = static_cast<std::size_t>(m.drift_alarms),
+        .reclusters = static_cast<std::size_t>(m.reclusters)});
+  }
+  federation.comm().restore(checkpoint.comm.round_download,
+                            checkpoint.comm.round_upload,
+                            checkpoint.comm.client_download,
+                            checkpoint.comm.client_upload,
+                            checkpoint.comm.total_download,
+                            checkpoint.comm.total_upload);
+  if (federation.network_enabled()) {
+    federation.network()->restore(checkpoint.net.clock, checkpoint.net.log);
+  }
+  federation.quarantine().restore(
+      std::vector<std::size_t>(checkpoint.quarantine_counts.begin(),
+                               checkpoint.quarantine_counts.end()),
+      checkpoint.quarantine_max_strikes);
+  algorithm.restore_state(federation, checkpoint);
   return result;
 }
 
@@ -126,32 +247,33 @@ struct LaterFinish {
 ///     audit points that fall between the two.
 class BufferedScheduler {
  public:
-  BufferedScheduler(Federation& federation, AsyncAdapter& adapter,
+  BufferedScheduler(Federation& federation, Algorithm& algorithm,
                     const AsyncConfig& config)
-      : fed_(federation), adapter_(adapter), cfg_(config) {
+      : fed_(federation), algo_(algorithm), cfg_(config) {
     FEDCLUST_REQUIRE(cfg_.buffer_k >= 1, "async: buffer_k must be >= 1");
     FEDCLUST_REQUIRE(fed_.network_enabled(),
                      "the async engine needs the network simulator "
                      "(config.network.enabled)");
-    FEDCLUST_REQUIRE(adapter_.supports_async(),
-                     adapter_.name() << " cannot run buffered: cluster "
-                                        "membership is not static");
+    FEDCLUST_REQUIRE(algo_.supports_async(),
+                     algo_.name() << " cannot run buffered: cluster "
+                                     "membership is not static or a "
+                                     "sync-only feature is on");
     FEDCLUST_REQUIRE(!fed_.drift_enabled(),
                      "drift scenarios drive the synchronous engine — the "
                      "buffered scheduler has no round clock to advance "
                      "the drift plan against");
-    local_ = adapter_.local_override();
+    local_ = algo_.local_override();
     epochs_ = (local_ != nullptr ? *local_ : fed_.config().local).epochs;
   }
 
   RunResult run(std::size_t flushes) {
     FEDCLUST_REQUIRE(flushes >= 1, "async: need at least one flush");
     fed_.reset_comm();
-    result_.algorithm = adapter_.name();
-    first_ = adapter_.begin(fed_, result_);
+    result_.algorithm = algo_.name();
+    first_ = algo_.begin(fed_, result_);
     target_flushes_ = flushes;
 
-    num_clusters_ = adapter_.num_clusters();
+    num_clusters_ = algo_.num_clusters();
     versions_.assign(num_clusters_, 0);
     buffers_.assign(num_clusters_, {});
     broadcast_.resize(num_clusters_);
@@ -162,24 +284,18 @@ class BufferedScheduler {
     for (std::size_t i = 0; i < fed_.num_clients(); ++i) {
       if (quarantined(i)) continue;
       ready_.push_back(i);
-      ++active_[adapter_.cluster_of(i)];
+      ++active_[algo_.cluster_of(i)];
     }
     fed_.comm().begin_round(first_);
 
     event_loop();
-    adapter_.finish(result_);
+    algo_.finish(result_);
     return result_;
   }
 
   RunResult resume(const robust::RunCheckpoint& ck, std::size_t flushes) {
     FEDCLUST_REQUIRE(ck.async.present,
                      "checkpoint holds no async scheduler state");
-    FEDCLUST_REQUIRE(ck.seed == fed_.config().seed,
-                     "checkpoint seed " << ck.seed
-                                        << " does not match federation seed "
-                                        << fed_.config().seed);
-    FEDCLUST_REQUIRE(ck.net.present,
-                     "async checkpoint without network state");
     first_ = static_cast<std::size_t>(ck.async.first_round);
     flushes_done_ = static_cast<std::size_t>(ck.async.flushes);
     target_flushes_ = flushes;
@@ -188,37 +304,12 @@ class BufferedScheduler {
                                                << flushes << "-flush run");
     next_seq_ = static_cast<std::size_t>(ck.async.next_seq);
 
-    result_.algorithm = adapter_.name();
-    result_.rounds.reserve(ck.rounds.size());
-    for (const robust::RoundRecord& m : ck.rounds) {
-      result_.rounds.push_back(RoundMetrics{
-          .round = static_cast<std::size_t>(m.round),
-          .acc_mean = m.acc_mean,
-          .acc_std = m.acc_std,
-          .train_loss = m.train_loss,
-          .cum_upload = m.cum_upload,
-          .cum_download = m.cum_download,
-          .num_clusters = static_cast<std::size_t>(m.num_clusters),
-          .sim_seconds = m.sim_seconds,
-          .weights_fp = m.weights_fp,
-          .drift_score = m.drift_score,
-          .drift_alarms = static_cast<std::size_t>(m.drift_alarms),
-          .reclusters = static_cast<std::size_t>(m.reclusters)});
-    }
-    fed_.comm().restore(ck.comm.round_download, ck.comm.round_upload,
-                        ck.comm.client_download, ck.comm.client_upload,
-                        ck.comm.total_download, ck.comm.total_upload);
+    result_ = restore_checkpoint(fed_, algo_, ck);
     FEDCLUST_REQUIRE(
         fed_.comm().round_count() == first_ + flushes_done_ + 1,
         "async checkpoint comm series inconsistent with flush index");
-    fed_.network()->restore(ck.net.clock, ck.net.log);
-    fed_.quarantine().restore(
-        std::vector<std::size_t>(ck.quarantine_counts.begin(),
-                                 ck.quarantine_counts.end()),
-        ck.quarantine_max_strikes);
-    adapter_.restore_state(fed_, ck);
 
-    num_clusters_ = adapter_.num_clusters();
+    num_clusters_ = algo_.num_clusters();
     FEDCLUST_REQUIRE(ck.async.versions.size() == num_clusters_,
                      "async checkpoint cluster count mismatch");
     versions_.assign(ck.async.versions.begin(), ck.async.versions.end());
@@ -264,11 +355,11 @@ class BufferedScheduler {
     ready_.assign(ck.async.ready.begin(), ck.async.ready.end());
     active_.assign(num_clusters_, 0);
     for (std::size_t i = 0; i < fed_.num_clients(); ++i) {
-      if (!quarantined(i)) ++active_[adapter_.cluster_of(i)];
+      if (!quarantined(i)) ++active_[algo_.cluster_of(i)];
     }
 
     event_loop();
-    adapter_.finish(result_);
+    algo_.finish(result_);
     return result_;
   }
 
@@ -282,7 +373,7 @@ class BufferedScheduler {
   /// under the download codec, the model itself otherwise.
   std::shared_ptr<const std::vector<float>> snapshot_broadcast(
       std::size_t cluster) const {
-    const std::span<const float> m = adapter_.cluster_model(cluster);
+    const std::span<const float> m = algo_.cluster_model(cluster);
     std::vector<float> rt = fed_.download_roundtrip(m);
     if (rt.empty()) {
       return std::make_shared<const std::vector<float>>(m.begin(), m.end());
@@ -302,7 +393,7 @@ class BufferedScheduler {
   /// rotation for good; its cluster's flush threshold may drop below the
   /// buffer's current fill.
   void retire(std::size_t client) {
-    const std::size_t c = adapter_.cluster_of(client);
+    const std::size_t c = algo_.cluster_of(client);
     if (active_[c] > 0) --active_[c];
     if (flushes_done_ < target_flushes_ && !buffers_[c].empty() &&
         buffers_[c].size() >= flush_threshold(c)) {
@@ -314,7 +405,7 @@ class BufferedScheduler {
     Dispatch d;
     d.seq = next_seq_++;
     d.client = client;
-    d.cluster = adapter_.cluster_of(client);
+    d.cluster = algo_.cluster_of(client);
     d.version = versions_[d.cluster];
     d.start = broadcast_[d.cluster];
     // Crash faults and dropout churn resolve at dispatch — same fate
@@ -452,7 +543,7 @@ class BufferedScheduler {
     if (!kept.empty()) {
       for (double& w : coeff) w /= total;
       std::vector<float> mixed = fed_.aggregate_weighted(
-          kept, coeff, adapter_.cluster_model(cluster));
+          kept, coeff, algo_.cluster_model(cluster));
       // Staleness-spike LR decay: when the kept batch's mean staleness
       // crosses the knob, only move lr_decay of the way toward the
       // aggregate. Stateless, so checkpoints need no new fields; at
@@ -461,10 +552,10 @@ class BufferedScheduler {
       if (cfg_.lr_decay_staleness > 0.0 && cfg_.lr_decay < 1.0 &&
           stale_sum / static_cast<double>(kept.size()) >
               cfg_.lr_decay_staleness) {
-        mixed = decay_toward(adapter_.cluster_model(cluster), mixed,
+        mixed = decay_toward(algo_.cluster_model(cluster), mixed,
                              cfg_.lr_decay);
       }
-      adapter_.set_cluster_model(cluster, std::move(mixed));
+      algo_.set_cluster_model(cluster, std::move(mixed));
       ++versions_[cluster];
       broadcast_[cluster] = snapshot_broadcast(cluster);
       mean_loss = loss_sum / static_cast<double>(kept.size());
@@ -477,10 +568,10 @@ class BufferedScheduler {
                                   ? cfg_.eval_every_flushes
                                   : fed_.config().eval_every;
     if (last || flushes_done_ % every == 0) {
-      const AccuracySummary acc = adapter_.evaluate(fed_);
+      const AccuracySummary acc = algo_.evaluate(fed_);
       result_.rounds.push_back(make_round_metrics(round, acc, mean_loss, fed_,
-                                                  adapter_.num_clusters(),
-                                                  adapter_.fingerprint()));
+                                                  algo_.num_clusters(),
+                                                  algo_.fingerprint()));
       if (last) result_.final_accuracy = acc;
     }
     if (!last) {
@@ -493,40 +584,8 @@ class BufferedScheduler {
   }
 
   robust::RunCheckpoint make_checkpoint() const {
-    robust::RunCheckpoint ck;
-    ck.next_round = first_ + flushes_done_;
-    ck.seed = fed_.config().seed;
-    adapter_.save_state(ck);
-    ck.rounds.reserve(result_.rounds.size());
-    for (const RoundMetrics& m : result_.rounds) {
-      ck.rounds.push_back(robust::RoundRecord{.round = m.round,
-                                              .acc_mean = m.acc_mean,
-                                              .acc_std = m.acc_std,
-                                              .train_loss = m.train_loss,
-                                              .cum_upload = m.cum_upload,
-                                              .cum_download = m.cum_download,
-                                              .num_clusters = m.num_clusters,
-                                              .sim_seconds = m.sim_seconds,
-                                              .weights_fp = m.weights_fp,
-                                              .drift_score = m.drift_score,
-                                              .drift_alarms = m.drift_alarms,
-                                              .reclusters = m.reclusters});
-    }
-    const CommMeter& comm = fed_.comm();
-    ck.comm.round_download = comm.round_download();
-    ck.comm.round_upload = comm.round_upload();
-    ck.comm.client_download = comm.per_client_download();
-    ck.comm.client_upload = comm.per_client_upload();
-    ck.comm.total_download = comm.total_download();
-    ck.comm.total_upload = comm.total_upload();
-    ck.net.present = true;
-    ck.net.clock = fed_.network()->now();
-    ck.net.log = fed_.network()->log();
-    const robust::Quarantine& q = fed_.quarantine();
-    ck.quarantine_counts.assign(q.strike_counts().begin(),
-                                q.strike_counts().end());
-    ck.quarantine_max_strikes = q.max_strikes();
-
+    robust::RunCheckpoint ck =
+        capture_checkpoint(fed_, algo_, result_, first_ + flushes_done_);
     ck.async.present = true;
     ck.async.first_round = first_;
     ck.async.flushes = flushes_done_;
@@ -568,7 +627,7 @@ class BufferedScheduler {
   }
 
   Federation& fed_;
-  AsyncAdapter& adapter_;
+  Algorithm& algo_;
   AsyncConfig cfg_;
   const LocalTrainConfig* local_ = nullptr;
   std::size_t epochs_ = 0;
@@ -591,17 +650,17 @@ class BufferedScheduler {
 
 }  // namespace
 
-RunResult run_async(Federation& federation, AsyncAdapter& adapter,
+RunResult run_async(Federation& federation, Algorithm& algorithm,
                     const AsyncConfig& config, std::size_t flushes) {
-  BufferedScheduler scheduler(federation, adapter, config);
+  BufferedScheduler scheduler(federation, algorithm, config);
   return scheduler.run(flushes);
 }
 
-RunResult resume_async(Federation& federation, AsyncAdapter& adapter,
+RunResult resume_async(Federation& federation, Algorithm& algorithm,
                        const AsyncConfig& config,
                        const robust::RunCheckpoint& checkpoint,
                        std::size_t flushes) {
-  BufferedScheduler scheduler(federation, adapter, config);
+  BufferedScheduler scheduler(federation, algorithm, config);
   return scheduler.resume(checkpoint, flushes);
 }
 

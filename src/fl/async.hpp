@@ -26,11 +26,14 @@
 // all of them (the same argument the synchronous engine makes, applied
 // per flush instead of per round).
 //
-// The synchronous engine survives as the exact special case
-// buffer_k == cohort with unit staleness weights: run_synchronized
-// drives the same extracted per-round bodies the classic Algorithm::run
-// loops call, so the SyncEquivalence CI gate can pin the two
-// bit-identical (same shape as CodecParity).
+// The synchronous engine is the exact special case buffer_k == cohort
+// with unit staleness weights, and it is the only round loop in the
+// library: run_synchronized drives every fl::Algorithm (Algorithm::run
+// is a call into it) and resume_synchronized continues a checkpointed
+// run through the same loop. capture_checkpoint/restore_checkpoint are
+// the one place a run's metrics trajectory, comm meter, network state
+// and quarantine ledger move into and out of a robust::RunCheckpoint;
+// both the synchronous loop and the buffered scheduler use them.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +41,7 @@
 #include <string>
 #include <vector>
 
-#include "fl/metrics.hpp"
+#include "fl/algorithm.hpp"
 #include "robust/checkpoint.hpp"
 
 namespace fedclust::fl {
@@ -93,94 +96,63 @@ struct AsyncConfig {
   /// Evaluate (and record metrics) every this many flushes; 0 = the
   /// federation's eval_every. The final flush is always evaluated.
   std::size_t eval_every_flushes = 0;
-  /// Write a robust::RunCheckpoint (FCKP v2, with the in-flight buffer
-  /// and dispatch frontier) every this many flushes; 0 = never.
+  /// Write a robust::RunCheckpoint (with the in-flight buffer and
+  /// dispatch frontier) every this many flushes; 0 = never.
   std::size_t checkpoint_every = 0;
   std::string checkpoint_path = "fedclust_async.ckpt";
 };
 
-/// Algorithm adapter for the event-driven engine. One adapter instance
-/// holds the algorithm's server-side state (labels, cluster models) and
-/// exposes the pieces the two drivers need: run_synchronized() replays
-/// the classic per-round body, run_async() reads/writes cluster models
-/// around buffer flushes. Adapters are single-run objects.
-class AsyncAdapter {
- public:
-  virtual ~AsyncAdapter() = default;
-
-  virtual std::string name() const = 0;
-
-  /// Runs the algorithm's formation phase exactly as its classic run()
-  /// does (metering, simulated rounds, the round-0 metrics entry when it
-  /// has one) and initializes the adapter's state. The caller has
-  /// already reset comm. Returns the first trainable round index (0 for
-  /// FedAvg/FedProx/CFL/IFCA, 1 for PACFL/FedClust).
-  virtual std::size_t begin(Federation& federation, RunResult& result) = 0;
-
-  /// One classic synchronous round (the extracted body the algorithm's
-  /// own run() loop calls). The caller has opened the comm round.
-  /// Returns the round's mean train loss.
-  virtual double sync_round(Federation& federation, std::size_t round) = 0;
-
-  virtual AccuracySummary evaluate(const Federation& federation) const = 0;
-  /// Fingerprint of the adapter's server-side model state
-  /// (check::weights_fingerprint over what the classic run() hashes).
-  virtual std::uint64_t fingerprint() const = 0;
-  virtual std::size_t num_clusters() const = 0;
-  /// Copies final labels / cluster models into the result.
-  virtual void finish(RunResult& result) = 0;
-
-  // -- async-mode surface (static cluster assignment) ---------------------
-  /// Whether the algorithm can run buffered: cluster membership must be
-  /// static after begin() (CFL re-clusters per round and IFCA re-estimates
-  /// identities per round — both are sync-only).
-  virtual bool supports_async() const { return false; }
-  virtual std::size_t cluster_of(std::size_t client) const {
-    (void)client;
-    return 0;
-  }
-  virtual std::span<const float> cluster_model(std::size_t cluster) const;
-  virtual void set_cluster_model(std::size_t cluster,
-                                 std::vector<float> weights);
-  /// Per-client local-training override the algorithm applies every
-  /// round (FedProx's proximal term); null = the federation's config.
-  virtual const LocalTrainConfig* local_override() const { return nullptr; }
-
-  // -- checkpoint surface (async runs) ------------------------------------
-  /// Fills the adapter-owned checkpoint fields (labels, cluster_weights,
-  /// formation artifacts).
-  virtual void save_state(robust::RunCheckpoint& checkpoint) const;
-  /// Restores them on resume (inverse of save_state + begin()'s state
-  /// setup, without re-running formation).
-  virtual void restore_state(Federation& federation,
-                             const robust::RunCheckpoint& checkpoint);
-};
-
-/// Wave driver: the classic synchronous loop, expressed over the adapter
-/// — reset comm, formation via begin(), then per round begin_round +
-/// sync_round + the eval cadence every classic run() uses. Bit-identical
-/// to the algorithm's own run() by construction (both call the same
-/// extracted bodies in the same order); the SyncEquivalence gate pins
-/// this.
-RunResult run_synchronized(Federation& federation, AsyncAdapter& adapter,
+/// The synchronous round loop: reset comm, begin(), then per round
+/// begin_round + sync_round + the eval cadence (every
+/// config().eval_every rounds and the last one) + after_round, then
+/// finish(). Requires rounds > the first trainable round.
+RunResult run_synchronized(Federation& federation, Algorithm& algorithm,
                            std::size_t rounds);
+
+/// Continues a killed synchronous run from a checkpoint written by the
+/// algorithm's own after_round hook. Restores the federation and the
+/// algorithm via restore_checkpoint, then runs rounds
+/// [checkpoint.next_round, rounds) through run_synchronized's loop. The
+/// federation must be constructed with the same data, config, and seed;
+/// every per-(round, client) stream is derived functionally from the
+/// seed, so the resumed trajectory is bit-identical to the
+/// uninterrupted one.
+RunResult resume_synchronized(Federation& federation, Algorithm& algorithm,
+                              const robust::RunCheckpoint& checkpoint,
+                              std::size_t rounds);
+
+/// Snapshot of a run whose next round (or flush window) is
+/// `next_round`: the seed, the algorithm's state (save_state), the
+/// metrics emitted so far, the comm meter, the network clock and log
+/// (when the simulator is on) and the quarantine ledger.
+robust::RunCheckpoint capture_checkpoint(const Federation& federation,
+                                         const Algorithm& algorithm,
+                                         const RunResult& result,
+                                         std::size_t next_round);
+
+/// Inverse of capture_checkpoint: verifies the seed and the network
+/// setting, restores comm, network and quarantine into the federation
+/// and the algorithm's state (restore_state), and returns a result
+/// holding the checkpointed metrics.
+RunResult restore_checkpoint(Federation& federation, Algorithm& algorithm,
+                             const robust::RunCheckpoint& checkpoint);
 
 /// Event-driven driver: after the formation phase, every client cycles
 /// download → compute → upload → re-dispatch continuously (bounded by
 /// config.inflight); per-cluster buffers flush independently once they
 /// hold buffer_k arrived updates. Runs until `flushes` buffer flushes
-/// have been applied. Requires the network simulator and an adapter with
-/// supports_async(). Metrics: one RoundMetrics per evaluated flush, with
-/// round = first_round + flush index and sim_seconds = virtual time at
-/// the flush.
-RunResult run_async(Federation& federation, AsyncAdapter& adapter,
+/// have been applied. Requires the network simulator and an algorithm
+/// with supports_async(). Metrics: one RoundMetrics per evaluated flush,
+/// with round = first_round + flush index and sim_seconds = virtual time
+/// at the flush.
+RunResult run_async(Federation& federation, Algorithm& algorithm,
                     const AsyncConfig& config, std::size_t flushes);
 
 /// Continues a killed async run from a checkpoint written by run_async
-/// (FCKP v2 with the async block). The federation must be constructed
+/// (one carrying the async block). The federation must be constructed
 /// with the same data, config, and seed; the resumed trajectory is
 /// bit-identical to the uninterrupted one.
-RunResult resume_async(Federation& federation, AsyncAdapter& adapter,
+RunResult resume_async(Federation& federation, Algorithm& algorithm,
                        const AsyncConfig& config,
                        const robust::RunCheckpoint& checkpoint,
                        std::size_t flushes);

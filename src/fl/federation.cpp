@@ -222,6 +222,12 @@ void Federation::reset_comm() {
   // A fresh run starts with a clean strike ledger — algorithms executed
   // back-to-back on one federation must not inherit quarantines.
   quarantine_ = robust::Quarantine(config_.robust.validate.max_strikes);
+  // ... nor the drift clock: the scenario replays from round 0.
+  if (drift_plan_ != nullptr) {
+    drift_round_ = 0;
+    drift_primed_ = false;
+    drift_fleet_->set_round(0);
+  }
 }
 
 void Federation::simulate_network_round(std::size_t round,

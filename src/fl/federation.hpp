@@ -212,8 +212,9 @@ class Federation {
       std::span<const float> server_weights) const;
 
   /// Resets communication accounting, the network simulator's clock,
-  /// log, and reports, AND the quarantine strike ledger. Algorithms call
-  /// this at run() entry.
+  /// log, and reports, the quarantine strike ledger, and the drift
+  /// scenario's clock. run_synchronized and run_async call this at run
+  /// entry.
   void reset_comm();
 
   /// Simulates a round the engine does not train (e.g. PACFL's formation,

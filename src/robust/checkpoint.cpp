@@ -13,9 +13,9 @@ namespace {
 namespace wire = nn::wire;
 
 constexpr char kMagic[4] = {'F', 'C', 'K', 'P'};
-// v1: synchronous run state. v2 appends the async scheduler block; v3
-// appends drift telemetry to RoundRecord plus the drift-detector block.
-// The loader accepts all three so older checkpoints keep resuming.
+// The one accepted layout: synchronous run state, the async scheduler
+// block, per-round drift telemetry and the drift-detector block. Files
+// stamped with any other version are refused.
 constexpr std::uint32_t kVersion = 3;
 
 void put_u64_vec(std::vector<std::uint8_t>& buf,
@@ -140,7 +140,7 @@ void save_checkpoint(const RunCheckpoint& ck, const std::string& path) {
   put_u64_vec(buf, ck.quarantine_counts);
   wire::put_u64(buf, ck.quarantine_max_strikes);
 
-  // v2 async scheduler block.
+  // Async scheduler block.
   wire::put_u32(buf, ck.async.present ? 1 : 0);
   wire::put_u64(buf, ck.async.first_round);
   wire::put_u64(buf, ck.async.flushes);
@@ -157,7 +157,7 @@ void save_checkpoint(const RunCheckpoint& ck, const std::string& path) {
     wire::put_f32(buf, s.weights);
   }
 
-  // v3 drift-detector block.
+  // Drift-detector block.
   wire::put_u32(buf, ck.drift.present ? 1 : 0);
   wire::put_u64(buf, ck.drift.recoveries);
   wire::put_u64(buf, ck.drift.cooldown);
@@ -205,7 +205,7 @@ RunCheckpoint load_checkpoint(const std::string& path) {
   FEDCLUST_CHECK(std::memcmp(magic, kMagic, 4) == 0,
                  path << " is not a fedclust run checkpoint");
   const std::uint32_t version = r.u32();
-  FEDCLUST_CHECK(version >= 1 && version <= kVersion,
+  FEDCLUST_CHECK(version == kVersion,
                  "unsupported checkpoint version " << version);
 
   RunCheckpoint ck;
@@ -229,11 +229,9 @@ RunCheckpoint load_checkpoint(const std::string& path) {
     m.num_clusters = r.u64();
     m.sim_seconds = r.f64();
     m.weights_fp = r.u64();
-    if (version >= 3) {
-      m.drift_score = r.f64();
-      m.drift_alarms = r.u64();
-      m.reclusters = r.u64();
-    }
+    m.drift_score = r.f64();
+    m.drift_alarms = r.u64();
+    m.reclusters = r.u64();
   }
 
   ck.comm.round_download = get_u64_vec(r);
@@ -265,46 +263,43 @@ RunCheckpoint load_checkpoint(const std::string& path) {
   ck.quarantine_counts = get_u64_vec(r);
   ck.quarantine_max_strikes = r.u64();
 
-  if (version >= 2) {
-    ck.async.present = r.u32() != 0;
-    ck.async.first_round = r.u64();
-    ck.async.flushes = r.u64();
-    ck.async.next_seq = r.u64();
-    ck.async.versions = get_u64_vec(r);
-    ck.async.ready = get_u64_vec(r);
-    ck.async.inflight = get_dispatches(r);
-    ck.async.buffered = get_dispatches(r);
-    const std::uint64_t num_starts = r.u64();
-    FEDCLUST_CHECK(num_starts <= r.remaining(),
-                   "checkpoint: implausible start count " << num_starts);
-    ck.async.starts.resize(static_cast<std::size_t>(num_starts));
-    for (AsyncStartRecord& s : ck.async.starts) {
-      s.cluster = r.u64();
-      s.version = r.u64();
-      const std::uint64_t len = r.u64();
-      FEDCLUST_CHECK(len * 4 <= r.remaining(),
-                     "checkpoint: implausible start length " << len);
-      s.weights.resize(static_cast<std::size_t>(len));
-      r.f32(s.weights);
-    }
+  ck.async.present = r.u32() != 0;
+  ck.async.first_round = r.u64();
+  ck.async.flushes = r.u64();
+  ck.async.next_seq = r.u64();
+  ck.async.versions = get_u64_vec(r);
+  ck.async.ready = get_u64_vec(r);
+  ck.async.inflight = get_dispatches(r);
+  ck.async.buffered = get_dispatches(r);
+  const std::uint64_t num_starts = r.u64();
+  FEDCLUST_CHECK(num_starts <= r.remaining(),
+                 "checkpoint: implausible start count " << num_starts);
+  ck.async.starts.resize(static_cast<std::size_t>(num_starts));
+  for (AsyncStartRecord& s : ck.async.starts) {
+    s.cluster = r.u64();
+    s.version = r.u64();
+    const std::uint64_t len = r.u64();
+    FEDCLUST_CHECK(len * 4 <= r.remaining(),
+                   "checkpoint: implausible start length " << len);
+    s.weights.resize(static_cast<std::size_t>(len));
+    r.f32(s.weights);
   }
-  if (version >= 3) {
-    ck.drift.present = r.u32() != 0;
-    ck.drift.recoveries = r.u64();
-    ck.drift.cooldown = r.u64();
-    ck.drift.threshold = r.f64();
-    ck.drift.streaks = get_u64_vec(r);
-    const std::uint64_t num_windows = r.u64();
-    FEDCLUST_CHECK(num_windows <= r.remaining(),
-                   "checkpoint: implausible window count " << num_windows);
-    ck.drift.windows.resize(static_cast<std::size_t>(num_windows));
-    for (std::vector<double>& w : ck.drift.windows) {
-      const std::uint64_t len = r.u64();
-      FEDCLUST_CHECK(len * 8 <= r.remaining(),
-                     "checkpoint: implausible window length " << len);
-      w.resize(static_cast<std::size_t>(len));
-      for (double& x : w) x = r.f64();
-    }
+
+  ck.drift.present = r.u32() != 0;
+  ck.drift.recoveries = r.u64();
+  ck.drift.cooldown = r.u64();
+  ck.drift.threshold = r.f64();
+  ck.drift.streaks = get_u64_vec(r);
+  const std::uint64_t num_windows = r.u64();
+  FEDCLUST_CHECK(num_windows <= r.remaining(),
+                 "checkpoint: implausible window count " << num_windows);
+  ck.drift.windows.resize(static_cast<std::size_t>(num_windows));
+  for (std::vector<double>& w : ck.drift.windows) {
+    const std::uint64_t len = r.u64();
+    FEDCLUST_CHECK(len * 8 <= r.remaining(),
+                   "checkpoint: implausible window length " << len);
+    w.resize(static_cast<std::size_t>(len));
+    for (double& x : w) x = r.f64();
   }
   FEDCLUST_CHECK(r.remaining() == 0,
                  "checkpoint " << path << " has " << r.remaining()

@@ -1,23 +1,23 @@
 // Crash-recoverable run checkpoints.
 //
-// A RunCheckpoint captures everything the FedClust round loop needs to
-// continue bit-identically after a process kill: the next round index,
-// the per-cluster server models, the formation artifacts the newcomer
-// path depends on, the metric/comm/network trajectory so far, and the
-// quarantine ledger. RNG state is deliberately ABSENT — every stream in
-// the engine is derived functionally from (seed, purpose, round,
-// client, attempt), so "RNG position" is fully determined by the round
-// index alone.
+// A RunCheckpoint captures everything the round engines (fl/async.hpp)
+// needs to continue bit-identically after a process kill: the next
+// round index, the per-cluster server models, the formation artifacts
+// the newcomer path depends on, the metric/comm/network trajectory so
+// far, and the quarantine ledger. RNG state is deliberately ABSENT —
+// every stream in the engine is derived functionally from (seed,
+// purpose, round, client, attempt), so "RNG position" is fully
+// determined by the round index alone.
 //
 // On-disk format (little-endian, nn::wire codec):
 //   magic "FCKP" | u32 version | body | u32 crc32(magic..body)
 // The trailing CRC makes torn or bit-flipped files fail loudly at load
-// time instead of silently resuming a corrupted run. Version 2 appends
+// time instead of silently resuming a corrupted run. The body carries
 // the async scheduler block (in-flight dispatches, per-cluster buffers,
-// dispatch frontier); version 3 appends per-round drift telemetry and
-// the drift-detector block so the evolving partition of a dynamic run
-// resumes bit-identically. The loader still accepts version-1/2 files,
-// which simply have no async/drift state.
+// dispatch frontier) and per-round drift telemetry plus the
+// drift-detector block, so async runs and the evolving partition of a
+// dynamic run resume bit-identically. There is one format version; the
+// loader refuses every other.
 //
 // This header mirrors fl::RoundMetrics and fl::CommMeter state as plain
 // structs instead of including fl/ headers: robust/ sits below fl/ in
@@ -45,7 +45,7 @@ struct RoundRecord {
   std::uint64_t num_clusters = 1;
   double sim_seconds = 0.0;
   std::uint64_t weights_fp = 0;
-  // --- v3: drift telemetry (zero when dynamic clustering is off) ---
+  // --- drift telemetry (zero when dynamic clustering is off) ---
   double drift_score = 0.0;         ///< detector mean-shift score
   std::uint64_t drift_alarms = 0;   ///< clusters alarmed at this eval
   std::uint64_t reclusters = 0;     ///< cumulative recovery operations
@@ -92,8 +92,8 @@ struct AsyncStartRecord {
   std::vector<float> weights;
 };
 
-/// Buffered-async scheduler state (FCKP v2). `present` is false for
-/// synchronous checkpoints and for every v1 file.
+/// Buffered-async scheduler state. `present` is false for synchronous
+/// checkpoints.
 struct AsyncSnapshot {
   bool present = false;
   std::uint64_t first_round = 0;  ///< metrics round offset (formation)
@@ -108,8 +108,8 @@ struct AsyncSnapshot {
   std::vector<AsyncStartRecord> starts;
 };
 
-/// Drift-detector state (FCKP v3). `present` is false when dynamic
-/// clustering is off and for every v1/v2 file. The trailing accuracy
+/// Drift-detector state. `present` is false when dynamic clustering is
+/// off. The trailing accuracy
 /// windows and breach streaks are the only detector state — alarms are
 /// re-derived from them — so carrying these makes kill/resume of a
 /// dynamic run bit-identical, including the round a recovery fires.
@@ -124,8 +124,7 @@ struct DriftSnapshot {
   std::vector<std::vector<double>> windows; ///< per-cluster trailing accs
 };
 
-/// Everything needed to resume a FedClust run after `next_round - 1`
-/// completed.
+/// Everything needed to resume a run after `next_round - 1` completed.
 struct RunCheckpoint {
   std::uint64_t next_round = 0;  ///< first round still to execute
   std::uint64_t seed = 0;        ///< federation seed (verified on resume)
@@ -142,7 +141,7 @@ struct RunCheckpoint {
   /// Event-driven engine state (fl/async); present only for checkpoints
   /// written mid-async-run.
   AsyncSnapshot async;
-  /// Dynamic-clustering detector state (v3); the evolving partition
+  /// Dynamic-clustering detector state; the evolving partition
   /// itself rides the ordinary labels/cluster_weights/partial_weights
   /// fields, which a recovery rewrites in place.
   DriftSnapshot drift;

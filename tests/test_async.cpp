@@ -1,15 +1,14 @@
 // Tests for the event-driven async engine (fl/async):
-//  * SyncEquivalence — the wave driver (buffer_k == cohort, staleness
-//    ≡ 1 special case) is bit-identical to every classic Algorithm::run
-//    loop, for all six algorithms. CI gates on `^SyncEquivalence`.
+//  * AsyncEngine — preconditions: the network simulator, algorithms
+//    with static membership, and FedClust's sync-only knobs refused.
 //  * AsyncDeterminism — buffered trajectories are bit-identical across
 //    kernel-thread counts, worker-thread counts, and `concurrency`.
 //  * AsyncStaleness — the staleness decay and the flush's mixing
 //    coefficients against hand-computed values.
 //  * AsyncChaos — crash/corruption faults plus churn never wedge the
 //    dispatch frontier.
-//  * AsyncResume — FCKP v2 resume is bit-identical to the
-//    uninterrupted run.
+//  * AsyncResume — resume from an async checkpoint is bit-identical to
+//    the uninterrupted run.
 //  * CodecRobustGuard — under top-k upload frames the trimmed mean
 //    stays sparse-aware (robust::sparse_trimmed_mean) while the
 //    coordinate median still falls back to norm-clip (negative
@@ -20,15 +19,15 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 
-#include "algorithms/async_adapters.hpp"
 #include "algorithms/cfl.hpp"
 #include "algorithms/fedavg.hpp"
+#include "algorithms/fedper.hpp"
 #include "algorithms/ifca.hpp"
-#include "algorithms/pacfl.hpp"
+#include "algorithms/local_only.hpp"
 #include "check/audit.hpp"
 #include "core/fedclust.hpp"
-#include "core/fedclust_async.hpp"
 #include "test_helpers.hpp"
 
 namespace fedclust::fl {
@@ -58,74 +57,6 @@ FederationConfig cellular_config(double straggler_frac = 1.0) {
   cfg.network.profile = net::Profile::kCellular;
   cfg.network.straggler_frac = straggler_frac;
   return cfg;
-}
-
-// -- SyncEquivalence (CI gate) ------------------------------------------------
-// The classic run() loop and fl::run_synchronized drive the same
-// extracted round bodies; the per-round trajectory must match
-// bit-for-bit, network on or off.
-
-TEST(SyncEquivalence, FedAvg) {
-  FederationConfig cfg = cellular_config();
-  cfg.dropout = 0.1;
-  auto [fed_a, ga] = make_grouped_federation(6, 480, 42, cfg);
-  auto [fed_b, gb] = make_grouped_federation(6, 480, 42, cfg);
-  algorithms::FedAvg classic;
-  algorithms::GlobalAverageAdapter adapter;
-  expect_same_rounds(classic.run(fed_a, 4),
-                     run_synchronized(fed_b, adapter, 4));
-}
-
-TEST(SyncEquivalence, FedProx) {
-  auto [fed_a, ga] = make_grouped_federation();
-  auto [fed_b, gb] = make_grouped_federation();
-  algorithms::FedProx classic(0.05);
-  algorithms::GlobalAverageAdapter adapter(0.05);
-  expect_same_rounds(classic.run(fed_a, 3),
-                     run_synchronized(fed_b, adapter, 3));
-}
-
-TEST(SyncEquivalence, Cfl) {
-  algorithms::CflConfig cc;
-  cc.warmup_rounds = 1;
-  auto [fed_a, ga] = make_grouped_federation();
-  auto [fed_b, gb] = make_grouped_federation();
-  algorithms::Cfl classic(cc);
-  algorithms::CflAdapter adapter(cc);
-  expect_same_rounds(classic.run(fed_a, 4),
-                     run_synchronized(fed_b, adapter, 4));
-}
-
-TEST(SyncEquivalence, Ifca) {
-  algorithms::IfcaConfig ic;
-  ic.num_clusters = 2;
-  auto [fed_a, ga] = make_grouped_federation();
-  auto [fed_b, gb] = make_grouped_federation();
-  algorithms::Ifca classic(ic);
-  algorithms::IfcaAdapter adapter(ic);
-  expect_same_rounds(classic.run(fed_a, 3),
-                     run_synchronized(fed_b, adapter, 3));
-}
-
-TEST(SyncEquivalence, Pacfl) {
-  const FederationConfig cfg = cellular_config();
-  auto [fed_a, ga] = make_grouped_federation(6, 480, 42, cfg);
-  auto [fed_b, gb] = make_grouped_federation(6, 480, 42, cfg);
-  algorithms::Pacfl classic(algorithms::PacflConfig{});
-  algorithms::PacflAdapter adapter(algorithms::PacflConfig{});
-  expect_same_rounds(classic.run(fed_a, 3),
-                     run_synchronized(fed_b, adapter, 3));
-}
-
-TEST(SyncEquivalence, FedClust) {
-  FederationConfig cfg = cellular_config(/*straggler_frac=*/0.8);
-  cfg.dropout = 0.1;
-  auto [fed_a, ga] = make_grouped_federation(6, 480, 42, cfg);
-  auto [fed_b, gb] = make_grouped_federation(6, 480, 42, cfg);
-  core::FedClust classic(core::FedClustConfig{});
-  core::FedClustAsync adapter(core::FedClustConfig{});
-  expect_same_rounds(classic.run(fed_a, 4),
-                     run_synchronized(fed_b, adapter, 4));
 }
 
 // -- staleness math -----------------------------------------------------------
@@ -199,8 +130,8 @@ TEST(AsyncStaleness, LrDecayOffIsBitIdentical) {
   const FederationConfig cfg = cellular_config();
   auto run_with = [&](const AsyncConfig& ac) {
     auto [fed, groups] = make_grouped_federation(6, 480, 42, cfg);
-    algorithms::GlobalAverageAdapter adapter;
-    return run_async(fed, adapter, ac, 5);
+    algorithms::FedAvg algo;
+    return run_async(fed, algo, ac, 5);
   };
   expect_same_rounds(run_with(plain), run_with(off));
 }
@@ -218,8 +149,8 @@ AsyncConfig small_async() {
 RunResult run_async_fedclust(FederationConfig cfg, const AsyncConfig& ac,
                              std::size_t flushes) {
   auto [fed, groups] = make_grouped_federation(6, 480, 42, cfg);
-  core::FedClustAsync adapter(core::FedClustConfig{});
-  return run_async(fed, adapter, ac, flushes);
+  core::FedClust algo(core::FedClustConfig{});
+  return run_async(fed, algo, ac, flushes);
 }
 
 TEST(AsyncDeterminism, BitIdenticalAcrossKernelThreads) {
@@ -280,16 +211,49 @@ TEST(AsyncDeterminism, VirtualTimeIsMonotone) {
 
 TEST(AsyncEngine, RequiresNetworkSimulator) {
   auto [fed, groups] = make_grouped_federation();  // network disabled
-  core::FedClustAsync adapter(core::FedClustConfig{});
-  EXPECT_THROW(run_async(fed, adapter, small_async(), 4), Error);
+  core::FedClust algo(core::FedClustConfig{});
+  EXPECT_THROW(run_async(fed, algo, small_async(), 4), Error);
 }
 
 TEST(AsyncEngine, SyncOnlyAdaptersRefuse) {
   auto [fed, groups] = make_grouped_federation(6, 480, 42, cellular_config());
-  algorithms::CflAdapter cfl(algorithms::CflConfig{});
+  algorithms::Cfl cfl(algorithms::CflConfig{});
   EXPECT_THROW(run_async(fed, cfl, small_async(), 4), Error);
-  algorithms::IfcaAdapter ifca(algorithms::IfcaConfig{});
+  algorithms::Ifca ifca(algorithms::IfcaConfig{});
   EXPECT_THROW(run_async(fed, ifca, small_async(), 4), Error);
+  algorithms::FedAvgM fedavgm;
+  EXPECT_THROW(run_async(fed, fedavgm, small_async(), 4), Error);
+  algorithms::FedPer fedper;
+  EXPECT_THROW(run_async(fed, fedper, small_async(), 4), Error);
+  algorithms::LocalOnly local;
+  EXPECT_THROW(run_async(fed, local, small_async(), 4), Error);
+}
+
+// FedClust's drift detection/recovery and its per-round checkpoint
+// writes hang off the synchronous round clock; the buffered scheduler
+// has none, so either knob must be refused rather than silently ignored.
+TEST(AsyncEngine, FedClustSyncOnlyKnobsRefuse) {
+  auto [fed, groups] = make_grouped_federation(6, 480, 42, cellular_config());
+  core::FedClustConfig dynamic;
+  dynamic.dynamic.enabled = true;
+  core::FedClust dynamic_algo(dynamic);
+  EXPECT_THROW(run_async(fed, dynamic_algo, small_async(), 4), Error);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "fedclust_async_knob.ckpt")
+          .string();
+  std::filesystem::remove(path);
+  core::FedClustConfig checkpointed;
+  checkpointed.checkpoint_every = 1;
+  checkpointed.checkpoint_path = path;
+  core::FedClust checkpointed_algo(checkpointed);
+  EXPECT_THROW(run_async(fed, checkpointed_algo, small_async(), 4), Error);
+  // Refused up front: formation never ran, so nothing was written.
+  EXPECT_FALSE(std::filesystem::exists(path));
+
+  // The static paper configuration still runs buffered.
+  core::FedClust plain(core::FedClustConfig{});
+  EXPECT_NO_THROW(run_async(fed, plain, small_async(), 2));
 }
 
 // -- chaos --------------------------------------------------------------------
@@ -303,11 +267,11 @@ TEST(AsyncChaos, CrashesNeverWedgeTheFrontier) {
   cfg.faults.sign_flip_prob = 0.1;
   cfg.robust.validate.enabled = true;
   auto [fed, groups] = make_grouped_federation(6, 480, 42, cfg);
-  algorithms::GlobalAverageAdapter adapter;
+  algorithms::FedAvg algo;
   AsyncConfig ac = small_async();
   ac.buffer_k = 3;
   ac.max_staleness = 4;
-  const RunResult r = run_async(fed, adapter, ac, 5);
+  const RunResult r = run_async(fed, algo, ac, 5);
   // Every requested flush completed despite crashed dispatches; the
   // frontier kept advancing (virtual time strictly positive, metrics
   // recorded for the last flush).
@@ -329,8 +293,8 @@ TEST(AsyncChaos, ChaosTrajectoriesAreStillDeterministic) {
     FederationConfig c = cfg;
     c.threads = threads;
     auto [fed, groups] = make_grouped_federation(6, 480, 42, c);
-    algorithms::GlobalAverageAdapter adapter;
-    return run_async(fed, adapter, ac, 5);
+    algorithms::FedAvg algo;
+    return run_async(fed, algo, ac, 5);
   };
   expect_same_rounds(run_once(1), run_once(4));
 }
@@ -353,8 +317,8 @@ TEST(AsyncResume, BitIdenticalAfterReload) {
   EXPECT_TRUE(ck.async.present);
   EXPECT_EQ(ck.async.flushes, 4u);
   auto [fed, groups] = make_grouped_federation(6, 480, 42, cfg);
-  core::FedClustAsync adapter(core::FedClustConfig{});
-  const RunResult resumed = resume_async(fed, adapter, ac, ck, 6);
+  core::FedClust algo(core::FedClustConfig{});
+  const RunResult resumed = resume_async(fed, algo, ac, ck, 6);
   expect_same_rounds(ref, resumed);
   std::remove(path.c_str());
 }

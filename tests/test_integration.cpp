@@ -1,6 +1,8 @@
 // Cross-module integration tests: every algorithm end-to-end on the same
 // federation, plus system-level invariants (determinism, comm-cost
 // ordering, clustered-methods-beat-global under group structure).
+// AlgorithmReuse pins that begin() resets all per-run state: one
+// instance run twice reproduces its trajectory bit for bit.
 #include <gtest/gtest.h>
 
 #include "algorithms/cfl.hpp"
@@ -281,6 +283,104 @@ TEST(Integration, EvalEveryReducesRecordedRounds) {
   EXPECT_EQ(r.rounds[0].round, 2u);
   EXPECT_EQ(r.rounds[1].round, 5u);
   EXPECT_EQ(r.rounds[2].round, 6u);
+}
+
+// -- AlgorithmReuse (CI gate) -------------------------------------------------
+// Algorithms hold their per-run state; begin() must reset all of it. One
+// instance runs three times — on a fresh federation, again on that same
+// federation, and on an identically built one — and every run must give
+// the same trajectory.
+
+void expect_same_run(const fl::RunResult& a, const fl::RunResult& b) {
+  ASSERT_EQ(a.rounds.size(), b.rounds.size());
+  for (std::size_t i = 0; i < a.rounds.size(); ++i) {
+    const fl::RoundMetrics& x = a.rounds[i];
+    const fl::RoundMetrics& y = b.rounds[i];
+    EXPECT_EQ(x.round, y.round) << i;
+    EXPECT_EQ(x.weights_fp, y.weights_fp) << i;
+    EXPECT_EQ(x.acc_mean, y.acc_mean) << i;
+    EXPECT_EQ(x.acc_std, y.acc_std) << i;
+    EXPECT_EQ(x.train_loss, y.train_loss) << i;
+    EXPECT_EQ(x.cum_upload, y.cum_upload) << i;
+    EXPECT_EQ(x.cum_download, y.cum_download) << i;
+    EXPECT_EQ(x.num_clusters, y.num_clusters) << i;
+    EXPECT_EQ(x.sim_seconds, y.sim_seconds) << i;
+    EXPECT_EQ(x.drift_score, y.drift_score) << i;
+    EXPECT_EQ(x.drift_alarms, y.drift_alarms) << i;
+    EXPECT_EQ(x.reclusters, y.reclusters) << i;
+  }
+  EXPECT_EQ(a.cluster_labels, b.cluster_labels);
+  EXPECT_EQ(a.cluster_weights, b.cluster_weights);
+}
+
+TEST(AlgorithmReuse, AllNineAlgorithmsRerunIdentically) {
+  fl::FederationConfig cfg = fast_config();
+  cfg.network.enabled = true;
+  cfg.network.profile = net::Profile::kCellular;
+  cfg.network.straggler_frac = 0.8;
+  cfg.dropout = 0.1;
+  auto algos = all_algorithms();
+  ASSERT_EQ(algos.size(), 9u);
+  for (const auto& algo : algos) {
+    SCOPED_TRACE(algo->name());
+    auto [fed, groups] = make_grouped_federation(6, 480, 70, cfg);
+    auto [twin, twin_groups] = make_grouped_federation(6, 480, 70, cfg);
+    const fl::RunResult first = algo->run(fed, 4);
+    expect_same_run(first, algo->run(fed, 4));
+    expect_same_run(first, algo->run(twin, 4));
+  }
+}
+
+TEST(AlgorithmReuse, FedClustDynamicUnderDriftRerunsIdentically) {
+  // Half of group 0 rotates its labels at round 4, and a group-1 slot
+  // departs at round 5 and is re-tenanted at round 8, so a run exercises
+  // churn admission, detection and split/merge recovery.
+  auto [probe, groups] = make_grouped_federation(8, 640, 42);
+  std::vector<std::size_t> group0;
+  std::size_t g1 = 0;
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    if (groups[i] == 0) group0.push_back(i);
+  }
+  while (groups[g1] != 1) ++g1;
+  fl::FederationConfig cfg;
+  cfg.local.epochs = 2;
+  cfg.local.sgd.lr = 0.05;
+  cfg.drift.enabled = true;
+  robust::DriftEvent rotate;
+  rotate.round = 4;
+  rotate.kind = robust::DriftKind::kLabelRotation;
+  rotate.slots.assign(group0.begin(), group0.begin() + group0.size() / 2);
+  rotate.rotate_by = 2;
+  robust::DriftEvent leave;
+  leave.round = 5;
+  leave.kind = robust::DriftKind::kDeparture;
+  leave.slots = {g1};
+  robust::DriftEvent arrive;
+  arrive.round = 8;
+  arrive.kind = robust::DriftKind::kArrival;
+  arrive.slots = {g1};
+  cfg.drift.events = {rotate, leave, arrive};
+
+  core::FedClustConfig algo_cfg;
+  algo_cfg.dynamic.enabled = true;
+  algo_cfg.dynamic.detector.window = 4;
+  algo_cfg.dynamic.detector.drop_threshold = 0.08;
+  algo_cfg.dynamic.detector.hysteresis = 2;
+  algo_cfg.dynamic.detector.cooldown = 2;
+  algo_cfg.dynamic.max_recoveries = 1;
+  core::FedClust algo(algo_cfg);
+
+  constexpr std::size_t kRounds = 12;
+  auto [fed, g] = make_grouped_federation(8, 640, 42, cfg);
+  auto [twin, tg] = make_grouped_federation(8, 640, 42, cfg);
+  const fl::RunResult first = algo.run(fed, kRounds);
+  std::size_t reclusters = 0;
+  for (const fl::RoundMetrics& m : first.rounds) reclusters += m.reclusters;
+  // The recovery budget is spent in the first run; a rerun that kept it
+  // spent (or kept the detector's windows) would diverge after the drift.
+  EXPECT_EQ(reclusters, 1u);
+  expect_same_run(first, algo.run(fed, kRounds));
+  expect_same_run(first, algo.run(twin, kRounds));
 }
 
 }  // namespace

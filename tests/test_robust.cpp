@@ -645,6 +645,42 @@ TEST(Checkpoint, CorruptedFileFailsLoudly) {
   std::filesystem::remove(path);
 }
 
+TEST(Checkpoint, OtherVersionWithValidCrcIsRefused) {
+  // Only the current layout loads: a file stamped version 2 whose CRC
+  // trailer is valid for its bytes must still be refused, not parsed as
+  // an older layout.
+  const std::string path = temp_ckpt_path("fedclust_ckpt_v2.ckpt");
+  save_checkpoint(sample_checkpoint(), path);
+  std::vector<std::uint8_t> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(bytes.size(), 12u);
+  // Little-endian u32 fields: the version after "FCKP", the CRC last.
+  const auto put_u32 = [](std::uint8_t* at, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) at[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  };
+  put_u32(bytes.data() + 4, 2);
+  put_u32(bytes.data() + bytes.size() - 4,
+          crc32(bytes.data(), bytes.size() - 4));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  // Refused by the version check itself, not by a later misparse.
+  try {
+    load_checkpoint(path);
+    ADD_FAILURE() << "a version-2 checkpoint loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version 2"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(Checkpoint, TruncatedFileFailsLoudly) {
   const std::string path = temp_ckpt_path("fedclust_ckpt_trunc.ckpt");
   save_checkpoint(sample_checkpoint(), path);
