@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "tensor/kernels.hpp"
+#include "utils/thread_pool.hpp"
 
 namespace fedclust::cluster {
 namespace {
@@ -38,7 +39,8 @@ void check_proximity_invariants(const Matrix& d) {
 
 }  // namespace
 
-Matrix pairwise_euclidean(const std::vector<std::vector<float>>& vectors) {
+Matrix pairwise_euclidean(const std::vector<std::vector<float>>& vectors,
+                          ThreadPool* pool) {
   check_rectangular(vectors);
   const std::size_t n = vectors.size();
   const std::size_t dim = vectors.front().size();
@@ -62,7 +64,7 @@ Matrix pairwise_euclidean(const std::vector<std::vector<float>>& vectors) {
   }
 
   Matrix d(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
+  auto row = [&](std::size_t i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       const double dp = kt.dot(vectors[i].data(), vectors[j].data(), dim);
       const double s = std::max(0.0, sq[i] + sq[j] - 2.0 * dp);
@@ -70,6 +72,16 @@ Matrix pairwise_euclidean(const std::vector<std::vector<float>>& vectors) {
       d(i, j) = dist;
       d(j, i) = dist;
     }
+  };
+  if (pool != nullptr) {
+    // Row i holds n-i-1 pairs, so task p takes rows p and n-1-p: n-1
+    // pairs per task keeps the pool's contiguous blocks balanced.
+    pool->parallel_for(0, (n + 1) / 2, [&](std::size_t p) {
+      row(p);
+      if (n - 1 - p != p) row(n - 1 - p);
+    });
+  } else {
+    for (std::size_t i = 0; i < n; ++i) row(i);
   }
   check_proximity_invariants(d);
   return d;

@@ -11,11 +11,17 @@
 
 #include "linalg/matrix.hpp"
 
+namespace fedclust {
+class ThreadPool;
+}
+
 namespace fedclust::cluster {
 
 /// Pairwise Euclidean distances between row vectors.
-/// `vectors[i]` must all have the same length.
-Matrix pairwise_euclidean(const std::vector<std::vector<float>>& vectors);
+/// `vectors[i]` must all have the same length. With a `pool`, rows are
+/// split across its workers; the result is bitwise the same either way.
+Matrix pairwise_euclidean(const std::vector<std::vector<float>>& vectors,
+                          ThreadPool* pool = nullptr);
 
 /// Pairwise cosine distance (1 - cosine similarity), clamped to [0, 2].
 Matrix pairwise_cosine_distance(const std::vector<std::vector<float>>& vectors);

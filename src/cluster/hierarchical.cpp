@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <queue>
+#include <utility>
 
 namespace fedclust::cluster {
 
@@ -119,39 +121,66 @@ Dendrogram agglomerative_cluster(const Matrix& distances, Linkage linkage) {
   // Working copy; `active[i]` marks live clusters, `id[i]` their current
   // dendrogram id, `sz[i]` member counts.
   Matrix d = distances;
-  std::vector<bool> active(n, true);
+  std::vector<char> active(n, 1);
   std::vector<std::size_t> id(n);
   std::iota(id.begin(), id.end(), 0);
   std::vector<double> sz(n, 1.0);
 
-  for (std::size_t step = 0; step + 1 < n; ++step) {
-    // Find the closest active pair (i < j).
-    double best = std::numeric_limits<double>::infinity();
-    std::size_t bi = 0, bj = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!active[i]) continue;
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (!active[j]) continue;
-        if (d(i, j) < best) {
-          best = d(i, j);
-          bi = i;
-          bj = j;
-        }
+  // Müllner's generic algorithm (arXiv:1109.2378): row i keeps a lower
+  // bound mindist[i] on min_{j>i} d(i, j) and a candidate nn[i], the
+  // smallest such j, so merges follow the naive row-major closest-pair
+  // scan exactly. A lazy min-heap orders rows by (mindist[i], i); kStale
+  // marks a candidate that must be rescanned before it is trusted.
+  constexpr std::size_t kStale = std::numeric_limits<std::size_t>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> mindist(n, kInf);
+  std::vector<std::size_t> nn(n, kStale);
+  using Entry = std::pair<double, std::size_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  auto rescan = [&](std::size_t i) {
+    mindist[i] = kInf;
+    nn[i] = kStale;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (active[j] && d(i, j) < mindist[i]) {
+        mindist[i] = d(i, j);
+        nn[i] = j;
       }
     }
+    if (nn[i] != kStale) heap.emplace(mindist[i], i);
+  };
+  auto valid = [&](std::size_t i) {
+    return nn[i] != kStale && active[nn[i]] && d(i, nn[i]) == mindist[i];
+  };
+  for (std::size_t i = 0; i + 1 < n; ++i) rescan(i);
 
-    Merge merge;
-    merge.a = id[bi];
-    merge.b = id[bj];
-    merge.distance = best;
-    merge.size = static_cast<std::size_t>(sz[bi] + sz[bj]);
-    out.merges.push_back(merge);
+  for (std::size_t step = 0; step + 1 < n; ++step) {
+    // Pop until the top row's candidate is current. Every active row with
+    // a candidate has a heap entry keyed by its lower bound, so a current
+    // top is the global minimum, and the smallest such row wins ties.
+    std::size_t bi = 0;
+    for (;;) {
+      const auto [key, i] = heap.top();
+      heap.pop();
+      if (!active[i] || key != mindist[i]) continue;
+      if (valid(i)) {
+        bi = i;
+        break;
+      }
+      rescan(i);
+    }
+    const std::size_t bj = nn[bi];
+    const double best = d(bi, bj);
+
+    out.merges.push_back(
+        {id[bi], id[bj], best, static_cast<std::size_t>(sz[bi] + sz[bj])});
 
     // Lance–Williams update of distances from the merged cluster (stored
-    // in slot bi) to every other active cluster k.
+    // in slot bi) to every other active cluster k. Rows k < bi changed in
+    // column bi only, so their candidates are refreshed on the way.
     const double ni = sz[bi], nj = sz[bj];
+    active[bj] = 0;
     for (std::size_t k = 0; k < n; ++k) {
-      if (!active[k] || k == bi || k == bj) continue;
+      if (!active[k] || k == bi) continue;
       const double dik = d(bi, k);
       const double djk = d(bj, k);
       double dnew = 0.0;
@@ -177,11 +206,22 @@ Dendrogram agglomerative_cluster(const Matrix& distances, Linkage linkage) {
       }
       d(bi, k) = dnew;
       d(k, bi) = dnew;
+      if (k > bi) continue;
+      if (dnew < mindist[k]) {
+        mindist[k] = dnew;
+        nn[k] = bi;
+        heap.emplace(dnew, k);
+      } else if (nn[k] == bi) {
+        // The candidate moved off its bound; rounding could bring it back
+        // while a smaller column ties, so force a rescan.
+        if (dnew != mindist[k]) nn[k] = kStale;
+      } else if (dnew == mindist[k] && valid(k) && bi < nn[k]) {
+        nn[k] = bi;
+      }
     }
-
-    active[bj] = false;
     sz[bi] = ni + nj;
     id[bi] = n + step;
+    rescan(bi);
   }
   return out;
 }

@@ -7,8 +7,9 @@
 // largest-gap heuristic picks that threshold from the dendrogram.
 //
 // Implementation: Lance–Williams updates over a dense distance matrix,
-// O(n^3) worst case — n is the number of clients (tens to hundreds), so
-// simplicity wins over a priority-queue scheme.
+// with merges chosen by Müllner's nearest-neighbour-candidate heap:
+// O(n^2) memory and typically O(n^2) time (O(n^3) worst case). Merges
+// are bit-identical to the naive closest-pair scan's.
 #pragma once
 
 #include <cstddef>

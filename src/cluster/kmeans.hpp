@@ -2,7 +2,7 @@
 //
 // An alternative server-side grouping for the weight vectors FedClust
 // collects: hierarchical clustering (the paper's choice) needs no k but
-// costs O(n^3); k-means needs k but scales to large client populations.
+// costs O(n^2) time and memory; k-means needs k but scales further.
 // The linkage ablation uses it as a comparison point, and IFCA-style
 // systems use exactly this primitive server-side.
 #pragma once

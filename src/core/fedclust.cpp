@@ -154,7 +154,9 @@ ClusteringOutcome FedClust::form_clusters(fl::Federation& federation,
   for (const std::size_t c : out.reporters) {
     reporter_partials.push_back(out.partial_weights[c]);
   }
-  out.proximity = cluster::pairwise_euclidean(reporter_partials);
+  // The aggregation pool is idle between the warmup leg and aggregation.
+  out.proximity = cluster::pairwise_euclidean(reporter_partials,
+                                              federation.aggregation_pool());
   out.dendrogram = cluster::agglomerative_cluster(out.proximity,
                                                   config_.linkage);
 

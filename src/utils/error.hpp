@@ -37,7 +37,7 @@ namespace detail {
   do {                                                                    \
     if (!(cond)) {                                                        \
       std::ostringstream fedclust_check_msg_;                             \
-      fedclust_check_msg_ __VA_OPT__(<< __VA_ARGS__);                     \
+      __VA_OPT__(fedclust_check_msg_ << __VA_ARGS__;)                     \
       ::fedclust::detail::throw_check_failure(#cond, __FILE__, __LINE__,  \
                                               fedclust_check_msg_.str()); \
     }                                                                     \

@@ -278,8 +278,12 @@ TEST(PerClusterRound, OnlyTouchedClustersChange) {
   const auto sampled = fed.sample_clients(0);
   std::set<std::size_t> touched;
   for (std::size_t cid : sampled) touched.insert(labels[cid]);
-  if (!touched.count(0)) EXPECT_EQ(weights[0], before0);
-  if (!touched.count(1)) EXPECT_EQ(weights[1], before1);
+  if (!touched.count(0)) {
+    EXPECT_EQ(weights[0], before0);
+  }
+  if (!touched.count(1)) {
+    EXPECT_EQ(weights[1], before1);
+  }
   for (std::size_t t : touched) {
     EXPECT_NE(weights[t], t == 0 ? before0 : before1);
   }

@@ -3,13 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <numeric>
+#include <string>
 
 #include "cluster/distance.hpp"
 #include "cluster/kmeans.hpp"
 #include "cluster/metrics.hpp"
 #include "utils/rng.hpp"
+#include "utils/thread_pool.hpp"
 
 namespace fedclust::cluster {
 namespace {
@@ -25,6 +30,17 @@ std::vector<std::vector<float>> two_blobs(std::size_t per, std::uint64_t seed,
                          static_cast<float>(rng.normal(0.0, 0.3)),
                      static_cast<float>(rng.normal(0.0, 0.3))});
     }
+  }
+  return pts;
+}
+
+/// Uniform random points in [-1, 1]^dim.
+std::vector<std::vector<float>> random_points(std::size_t n, std::size_t dim,
+                                              std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<float>> pts(n, std::vector<float>(dim));
+  for (auto& p : pts) {
+    for (float& x : p) x = static_cast<float>(rng.uniform(-1.0, 1.0));
   }
   return pts;
 }
@@ -55,6 +71,17 @@ TEST(Distance, CosineDistanceRange) {
   EXPECT_NEAR(d(0, 1), 2.0, 1e-6);  // opposite
   EXPECT_NEAR(d(0, 2), 1.0, 1e-6);  // orthogonal
   EXPECT_DOUBLE_EQ(d(0, 0), 0.0);
+}
+
+TEST(Distance, PooledEuclideanIsBitwiseSerial) {
+  const auto pts = random_points(300, 37, 11);
+  ThreadPool pool(4);
+  const Matrix serial = pairwise_euclidean(pts);
+  const Matrix pooled = pairwise_euclidean(pts, &pool);
+  ASSERT_EQ(pooled.rows(), serial.rows());
+  EXPECT_EQ(std::memcmp(pooled.data(), serial.data(),
+                        serial.rows() * serial.cols() * sizeof(double)),
+            0);
 }
 
 TEST(Distance, RejectsRaggedInput) {
@@ -185,6 +212,180 @@ TEST(Hc, LinkageNamesRoundTrip) {
     EXPECT_EQ(linkage_from_string(to_string(l)), l);
   }
   EXPECT_THROW(linkage_from_string("centroid"), Error);
+}
+
+// -- HC against the naive reference -------------------------------------------
+
+/// The textbook O(n^3) loop: scan every active pair for the closest one
+/// (strict <, row-major, so the first minimal pair wins), merge it into
+/// the lower slot, and apply the Lance–Williams update. The production
+/// algorithm must reproduce its merges bit for bit.
+Dendrogram naive_agglomerative(const Matrix& distances, Linkage linkage) {
+  const std::size_t n = distances.rows();
+  Dendrogram out;
+  out.num_leaves = n;
+  Matrix d = distances;
+  std::vector<bool> active(n, true);
+  std::vector<std::size_t> id(n);
+  std::iota(id.begin(), id.end(), 0);
+  std::vector<double> sz(n, 1.0);
+  for (std::size_t step = 0; step + 1 < n; ++step) {
+    double best = std::numeric_limits<double>::infinity();
+    std::size_t bi = 0, bj = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!active[i]) continue;
+      for (std::size_t j = i + 1; j < n; ++j) {
+        if (active[j] && d(i, j) < best) {
+          best = d(i, j);
+          bi = i;
+          bj = j;
+        }
+      }
+    }
+    out.merges.push_back(
+        {id[bi], id[bj], best, static_cast<std::size_t>(sz[bi] + sz[bj])});
+    const double ni = sz[bi], nj = sz[bj];
+    for (std::size_t k = 0; k < n; ++k) {
+      if (!active[k] || k == bi || k == bj) continue;
+      const double dik = d(bi, k);
+      const double djk = d(bj, k);
+      double dnew = 0.0;
+      switch (linkage) {
+        case Linkage::kSingle:
+          dnew = std::min(dik, djk);
+          break;
+        case Linkage::kComplete:
+          dnew = std::max(dik, djk);
+          break;
+        case Linkage::kAverage:
+          dnew = (ni * dik + nj * djk) / (ni + nj);
+          break;
+        case Linkage::kWard: {
+          const double nk = sz[k];
+          const double sq = ((ni + nk) * dik * dik + (nj + nk) * djk * djk -
+                             nk * best * best) /
+                            (ni + nj + nk);
+          dnew = std::sqrt(std::max(sq, 0.0));
+          break;
+        }
+      }
+      d(bi, k) = dnew;
+      d(k, bi) = dnew;
+    }
+    active[bj] = false;
+    sz[bi] = ni + nj;
+    id[bi] = n + step;
+  }
+  return out;
+}
+
+constexpr Linkage kAllLinkages[] = {Linkage::kSingle, Linkage::kComplete,
+                                    Linkage::kAverage, Linkage::kWard};
+
+/// Runs both algorithms on `d` under every linkage and compares the
+/// merges field by field, distances by their bytes.
+void expect_matches_naive(const Matrix& d, const std::string& what) {
+  for (const Linkage linkage : kAllLinkages) {
+    SCOPED_TRACE(what + " linkage=" + to_string(linkage));
+    const Dendrogram want = naive_agglomerative(d, linkage);
+    const Dendrogram got = agglomerative_cluster(d, linkage);
+    ASSERT_EQ(got.num_leaves, want.num_leaves);
+    ASSERT_EQ(got.merges.size(), want.merges.size());
+    for (std::size_t m = 0; m < want.merges.size(); ++m) {
+      SCOPED_TRACE("merge " + std::to_string(m));
+      EXPECT_EQ(got.merges[m].a, want.merges[m].a);
+      EXPECT_EQ(got.merges[m].b, want.merges[m].b);
+      EXPECT_EQ(got.merges[m].size, want.merges[m].size);
+      EXPECT_EQ(std::memcmp(&got.merges[m].distance, &want.merges[m].distance,
+                            sizeof(double)),
+                0)
+          << got.merges[m].distance << " vs " << want.merges[m].distance;
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+/// Symmetric zero-diagonal matrix with entries drawn from 1..levels.
+Matrix integer_matrix(std::size_t n, std::uint64_t levels, std::uint64_t seed) {
+  Rng rng(seed);
+  Matrix d(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      d(i, j) = d(j, i) = static_cast<double>(1 + rng.uniform_int(levels));
+    }
+  }
+  return d;
+}
+
+TEST(HierarchicalReference, RandomEuclideanMatchesNaive) {
+  for (std::size_t n = 1; n <= 120; ++n) {
+    expect_matches_naive(pairwise_euclidean(random_points(n, 3, 100 + n)),
+                         "n=" + std::to_string(n));
+    if (HasFailure()) return;
+  }
+}
+
+TEST(HierarchicalReference, DuplicateRowsMatchNaive) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    // 60 points copied from 7 prototypes: many exact-zero distances.
+    const auto protos = random_points(7, 4, seed);
+    Rng rng(seed + 50);
+    std::vector<std::vector<float>> pts;
+    for (std::size_t i = 0; i < 60; ++i) {
+      pts.push_back(protos[rng.uniform_int(protos.size())]);
+    }
+    expect_matches_naive(pairwise_euclidean(pts),
+                         "seed=" + std::to_string(seed));
+    if (HasFailure()) return;
+  }
+}
+
+TEST(HierarchicalReference, IntegerTiesMatchNaive) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const std::size_t n = 10 + seed * 2;
+    const std::uint64_t levels = 2 + seed % 4;
+    expect_matches_naive(integer_matrix(n, levels, seed),
+                         "n=" + std::to_string(n) +
+                             " levels=" + std::to_string(levels));
+    if (HasFailure()) return;
+  }
+}
+
+TEST(HierarchicalReference, AllEqualMatrixMatchesNaive) {
+  Matrix d(50, 50, 1.0);
+  for (std::size_t i = 0; i < 50; ++i) d(i, i) = 0.0;
+  expect_matches_naive(d, "all-equal");
+}
+
+TEST(HierarchicalReference, CandidateRoundingBackToItsBoundIsRescanned) {
+  // Average linkage, row 0's nearest neighbour is slot 2 at 1.0. Slot 2
+  // absorbs 3 (row 0 moves to 1+u), then slot 1 absorbs {4,5,6} and
+  // rounds to a tie at 1.0, then slot 2 absorbs {7,8} and rounds back to
+  // 1.0. The naive scan merges (0, 1): the smaller tying column wins.
+  constexpr double u = 0x1p-52;
+  Matrix d(9, 9, 5.0);
+  auto set = [&](std::size_t i, std::size_t j, double v) {
+    d(i, j) = d(j, i) = v;
+  };
+  for (std::size_t i = 0; i < 9; ++i) d(i, i) = 0.0;
+  for (std::size_t j = 4; j < 9; ++j) set(0, j, 1.0);
+  set(0, 1, 1.0 + u);
+  set(0, 2, 1.0);
+  set(0, 3, 1.0 + 2 * u);
+  set(4, 5, 0.1);
+  set(4, 6, 0.1);
+  set(5, 6, 0.1);
+  set(7, 8, 0.1);
+  set(2, 3, 0.2);
+  for (std::size_t j = 4; j < 7; ++j) set(1, j, 0.3);
+  for (std::size_t i = 2; i < 4; ++i) {
+    for (std::size_t j = 7; j < 9; ++j) set(i, j, 0.4);
+  }
+  const Dendrogram dendro = agglomerative_cluster(d, Linkage::kAverage);
+  ASSERT_EQ(dendro.merges.size(), 8u);
+  EXPECT_EQ(dendro.merges[6].a, 0u);
+  EXPECT_EQ(dendro.merges[6].b, 13u);  // slot 1's cluster, formed 5th
+  expect_matches_naive(d, "rounding tie");
 }
 
 // -- k-means -------------------------------------------------------------------

@@ -121,14 +121,18 @@ TEST(TopKCodec, FrameStoresAscendingLargestMagnitudes) {
     const std::uint32_t i = r.u32();
     float v = 0.0f;
     r.f32(std::span<float>(&v, 1));
-    if (u > 0) EXPECT_GT(i, prev) << "indices must be strictly ascending";
+    if (u > 0) {
+      EXPECT_GT(i, prev) << "indices must be strictly ascending";
+    }
     prev = i;
     selected[i] = true;
     EXPECT_EQ(v, x[i]) << "frame carries the raw value";
     min_kept = std::min(min_kept, std::fabs(v));
   }
   for (std::size_t i = 0; i < x.size(); ++i) {
-    if (!selected[i]) EXPECT_LE(std::fabs(x[i]), min_kept);
+    if (!selected[i]) {
+      EXPECT_LE(std::fabs(x[i]), min_kept);
+    }
   }
 
   // Unselected coordinates decode to the reference (zero here).

@@ -136,7 +136,9 @@ TEST(FormClusters, RelativeThresholdGranularityTracksRelFactor) {
                    .rel_factor = factor});
     const std::size_t k =
         cluster::num_clusters(algo.form_clusters(fed).labels);
-    if (prev != 0) EXPECT_LE(k, prev);
+    if (prev != 0) {
+      EXPECT_LE(k, prev);
+    }
     prev = k;
   }
   EXPECT_LE(prev, 2u);  // far above the mean distance -> 1-2 clusters

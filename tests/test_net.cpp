@@ -395,7 +395,9 @@ TEST(Simulator, ChurnedClientsReceiveButNeverUpload) {
   std::size_t broadcasts = 0;
   for (const Event& e : sim.log()) {
     if (e.kind == EventKind::kBroadcastDelivered) ++broadcasts;
-    if (e.kind == EventKind::kUploadAttempt) EXPECT_EQ(e.client, 0u);
+    if (e.kind == EventKind::kUploadAttempt) {
+      EXPECT_EQ(e.client, 0u);
+    }
   }
   EXPECT_EQ(broadcasts, 2u);  // the churned client still cost a broadcast
 }

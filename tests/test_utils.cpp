@@ -285,7 +285,7 @@ TEST(Stopwatch, MeasuresElapsedTime) {
   EXPECT_GE(t0, 0.0);
   // A tight loop with work should advance the clock monotonically.
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(sw.seconds(), t0);
   sw.restart();
   EXPECT_LT(sw.seconds(), 1.0);
