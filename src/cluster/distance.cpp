@@ -75,7 +75,7 @@ Matrix pairwise_euclidean(const std::vector<std::vector<float>>& vectors,
   };
   if (pool != nullptr) {
     // Row i holds n-i-1 pairs, so task p takes rows p and n-1-p: n-1
-    // pairs per task keeps the pool's contiguous blocks balanced.
+    // pairs per task, equal work whichever runner claims it.
     pool->parallel_for(0, (n + 1) / 2, [&](std::size_t p) {
       row(p);
       if (n - 1 - p != p) row(n - 1 - p);

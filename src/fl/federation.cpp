@@ -4,6 +4,7 @@
 #include <cmath>
 #include <future>
 #include <limits>
+#include <numeric>
 #include <string>
 
 #include "check/audit.hpp"
@@ -79,6 +80,28 @@ std::function<std::span<const float>(std::size_t)> downloaded_starts(
     FEDCLUST_CHECK(false, "client start span was not pre-decoded");
     return {};
   };
+}
+
+/// Runs train(slot) for every slot of `clients` on `pool`, claiming the
+/// longest train shards first (ties by slot): Dir(α) shard sizes are
+/// uneven, and starting the long clients early keeps the tail short.
+/// Results are slot-indexed, so the dispatch order never reaches the
+/// aggregation order.
+void train_longest_first(ThreadPool& pool, const ClientSource& source,
+                         std::span<const std::size_t> clients,
+                         const std::function<void(std::size_t)>& train) {
+  std::vector<std::size_t> sizes(clients.size());
+  for (std::size_t k = 0; k < clients.size(); ++k) {
+    sizes[k] = source.train_size(clients[k]);
+  }
+  std::vector<std::size_t> order(clients.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return sizes[a] > sizes[b];
+                   });
+  pool.parallel_for(0, order.size(),
+                    [&](std::size_t k) { train(order[k]); });
 }
 
 }  // namespace
@@ -549,7 +572,7 @@ std::vector<ClientUpdate> Federation::train_clients(
                         start_weights_for);
 
   std::vector<ClientUpdate> updates(survivors.size());
-  pool_.parallel_for(0, survivors.size(), [&](std::size_t slot) {
+  train_longest_first(pool_, *source_, survivors, [&](std::size_t slot) {
     ClientUpdate u = train_one(survivors[slot], round, effective_start, local,
                                fault_attempt);
     // Without server-side screening the upload transport is simulated
@@ -729,9 +752,10 @@ Federation::FoldResult Federation::train_clients_folded(
     const auto [edge_begin, edge_end] = topology.slot_range(e, cohort);
     for (std::size_t bb = edge_begin; bb < edge_end; bb += batch_cap) {
       const std::size_t be = std::min(edge_end, bb + batch_cap);
-      std::vector<ClientUpdate> batch(be - bb);
-      pool_.parallel_for(0, be - bb, [&](std::size_t j) {
-        batch[j] = train_one(survivors[bb + j], round, effective_start, local,
+      const std::span<const std::size_t> ids(survivors.data() + bb, be - bb);
+      std::vector<ClientUpdate> batch(ids.size());
+      train_longest_first(pool_, *source_, ids, [&](std::size_t j) {
+        batch[j] = train_one(ids[j], round, effective_start, local,
                              /*fault_attempt=*/0);
         if (transport_uploads) {
           std::vector<float> rt(batch[j].weights.size());

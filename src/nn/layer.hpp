@@ -60,6 +60,13 @@ class Layer {
   /// returns the gradient w.r.t. the layer input.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// Accumulates exactly the parameter gradients backward() would, but
+  /// skips the input gradient nobody reads below a model's first
+  /// parameterized layer. Default: backward() with the result dropped.
+  virtual void backward_params(const Tensor& grad_output) {
+    (void)backward(grad_output);
+  }
+
   /// Learnable parameters (empty for stateless layers).
   virtual std::vector<Param*> params() { return {}; }
 

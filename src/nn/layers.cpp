@@ -49,28 +49,31 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
   return output;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
+void Conv2d::backward_params(const Tensor& grad_output) {
   FEDCLUST_REQUIRE(!cached_input_.empty(), "backward before forward");
-  Tensor grad_input(cached_input_.shape());
+  // Kernels overwrite their outputs, so per-batch gradients go to scratch
+  // first and are then accumulated into the Params.
+  Tensor& dw = scratch_.acquire(kGradWeight, weight_.value.shape());
+  Tensor& db = scratch_.acquire(kGradBias, bias_.value.shape());
   if (impl_ == ConvImpl::kIm2col) {
-    // Kernels overwrite their outputs, so per-batch gradients go to
-    // scratch first and are then accumulated into the Params.
-    Tensor& dw = scratch_.acquire(kGradWeight, weight_.value.shape());
-    Tensor& db = scratch_.acquire(kGradBias, bias_.value.shape());
     ops::conv2d_backward_params_im2col(grad_output, scratch_.slot(kColumns),
                                        spec_, dw, db, scratch_.slot(kPix),
                                        pool_);
-    weight_.grad += dw;
-    bias_.grad += db;
+  } else {
+    ops::conv2d_backward_params(cached_input_, grad_output, spec_, dw, db);
+  }
+  weight_.grad += dw;
+  bias_.grad += db;
+}
+
+Tensor Conv2d::backward(const Tensor& grad_output) {
+  backward_params(grad_output);
+  Tensor grad_input(cached_input_.shape());
+  if (impl_ == ConvImpl::kIm2col) {
     ops::conv2d_backward_input_im2col(grad_output, weight_.value, spec_,
                                       grad_input, scratch_.slot(kPix),
                                       scratch_.slot(kGradColumns), pool_);
   } else {
-    Tensor& dw = scratch_.acquire(kGradWeight, weight_.value.shape());
-    Tensor& db = scratch_.acquire(kGradBias, bias_.value.shape());
-    ops::conv2d_backward_params(cached_input_, grad_output, spec_, dw, db);
-    weight_.grad += dw;
-    bias_.grad += db;
     ops::conv2d_backward_input(grad_output, weight_.value, spec_, grad_input);
   }
   return grad_input;
@@ -114,7 +117,7 @@ Tensor Linear::forward(const Tensor& input, bool train) {
   return output;
 }
 
-Tensor Linear::backward(const Tensor& grad_output) {
+void Linear::backward_params(const Tensor& grad_output) {
   FEDCLUST_REQUIRE(!cached_input_.empty(), "backward before forward");
   const std::size_t batch = grad_output.dim(0);
 
@@ -128,7 +131,10 @@ Tensor Linear::backward(const Tensor& grad_output) {
     kt.add(grad_output.data() + i * out_features_, bias_.grad.data(),
            out_features_);
   }
+}
 
+Tensor Linear::backward(const Tensor& grad_output) {
+  backward_params(grad_output);
   // dx = g · W  (B×out · out×in)
   Tensor grad_input;
   ops::matmul(grad_output, weight_.value, grad_input, pool_);
@@ -142,18 +148,27 @@ std::unique_ptr<Layer> Linear::clone() const {
 // -- ReLU ----------------------------------------------------------------------
 
 Tensor ReLU::forward(const Tensor& input, bool train) {
-  if (train) cached_input_ = input;
+  if (train) {
+    // relu_backward zeroes the gradient where its x <= 0, so a 0/1
+    // stand-in for x reproduces it bit for bit (NaN inputs pass).
+    Tensor& mask = mask_.acquire(0, input.shape());
+    const float* x = input.data();
+    float* m = mask.data();
+    for (std::size_t i = 0; i < mask.numel(); ++i) {
+      m[i] = x[i] <= 0.0f ? 0.0f : 1.0f;
+    }
+  }
   Tensor out(input.shape());
   ops::kernels().relu_forward(input.data(), out.data(), out.numel());
   return out;
 }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
-  FEDCLUST_REQUIRE(grad_output.same_shape(cached_input_),
+  const Tensor& mask = mask_.slot(0);
+  FEDCLUST_REQUIRE(grad_output.same_shape(mask),
                    "relu backward shape mismatch");
   Tensor grad = grad_output;
-  ops::kernels().relu_backward(cached_input_.data(), grad.data(),
-                               grad.numel());
+  ops::kernels().relu_backward(mask.data(), grad.data(), grad.numel());
   return grad;
 }
 

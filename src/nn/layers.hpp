@@ -35,10 +35,20 @@ class Conv2d final : public Layer {
   const char* type() const override { return "conv2d"; }
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   void init_params(Rng& rng) override;
   void set_thread_pool(ThreadPool* pool) override { pool_ = pool; }
   std::unique_ptr<Layer> clone() const override;
+
+  /// Slot keys of the training scratch arena.
+  enum Slot : std::size_t {
+    kColumns = 0,   // im2col expansion, cached forward -> backward
+    kPix,           // pixel-major GEMM operand/result
+    kGradColumns,   // grad w.r.t. columns (backward-input)
+    kGradWeight,    // per-batch dW before accumulation into the Param
+    kGradBias,      // per-batch db before accumulation into the Param
+  };
 
   const ops::Conv2dSpec& spec() const { return spec_; }
 
@@ -51,6 +61,10 @@ class Conv2d final : public Layer {
   /// Floats currently held by the scratch arena — stable across batches
   /// in steady state (kernels resize slots in place, reusing capacity).
   std::size_t scratch_footprint() const { return scratch_.footprint(); }
+  /// Floats held by one training slot (0 if the slot was never used).
+  std::size_t scratch_capacity(Slot slot) const {
+    return scratch_.capacity(slot);
+  }
   /// Same counters for the eval-only arena: eval forwards allocate here
   /// once per shape and never touch the training arena above.
   std::size_t eval_scratch_allocations() const {
@@ -61,15 +75,6 @@ class Conv2d final : public Layer {
   }
 
  private:
-  // Scratch slot keys inside scratch_.
-  enum Slot : std::size_t {
-    kColumns = 0,   // im2col expansion, cached forward -> backward
-    kPix,           // pixel-major GEMM operand/result
-    kGradColumns,   // grad w.r.t. columns (backward-input)
-    kGradWeight,    // per-batch dW before accumulation into the Param
-    kGradBias,      // per-batch db before accumulation into the Param
-  };
-
   ops::Conv2dSpec spec_;
   ConvImpl impl_;
   Param weight_;
@@ -88,6 +93,7 @@ class Linear final : public Layer {
   const char* type() const override { return "linear"; }
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   void init_params(Rng& rng) override;
   void set_thread_pool(ThreadPool* pool) override { pool_ = pool; }
@@ -106,7 +112,8 @@ class Linear final : public Layer {
   ThreadPool* pool_ = nullptr;   // borrowed; null = single-threaded kernels
 };
 
-/// Elementwise max(x, 0).
+/// Elementwise max(x, 0). A TRAIN forward records a 0/1 mask of where
+/// the gradient passes (x > 0, or x is NaN) in a reused buffer.
 class ReLU final : public Layer {
  public:
   const char* type() const override { return "relu"; }
@@ -114,8 +121,12 @@ class ReLU final : public Layer {
   Tensor backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override;
 
+  /// Heap (re)allocations of the mask buffer so far; stable across
+  /// batches once shapes reach steady state.
+  std::size_t mask_allocations() const { return mask_.allocations(); }
+
  private:
-  Tensor cached_input_;
+  ScratchArena mask_;  // slot 0: the mask, cached forward -> backward
 };
 
 /// Elementwise tanh (the classic LeNet activation).

@@ -40,12 +40,15 @@ Tensor Model::forward(const Tensor& input, bool train) {
   return x;
 }
 
-Tensor Model::backward(const Tensor& grad_output) {
+void Model::backward(const Tensor& grad_output) {
+  std::size_t first = 0;
+  while (first < layers_.size() && layers_[first]->params().empty()) ++first;
+  if (first == layers_.size()) return;
   Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+  for (std::size_t i = layers_.size() - 1; i > first; --i) {
+    g = layers_[i]->backward(g);
   }
-  return g;
+  layers_[first]->backward_params(g);
 }
 
 void Model::zero_grad() {

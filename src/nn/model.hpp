@@ -49,9 +49,11 @@ class Model {
   /// Runs the full stack. `train` enables dropout masking.
   Tensor forward(const Tensor& input, bool train = false);
 
-  /// Backpropagates from the loss gradient w.r.t. the model output;
-  /// accumulates parameter gradients. Returns the gradient w.r.t. input.
-  Tensor backward(const Tensor& grad_output);
+  /// Backpropagates from the loss gradient w.r.t. the model output and
+  /// accumulates parameter gradients. The gradient w.r.t. the model input
+  /// is never formed: the first parameterized layer runs
+  /// Layer::backward_params, and the layers below it are skipped.
+  void backward(const Tensor& grad_output);
 
   /// Zeroes all parameter gradients.
   void zero_grad();

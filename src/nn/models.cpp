@@ -1,5 +1,7 @@
 #include "nn/models.hpp"
 
+#include <algorithm>
+
 #include "nn/layers.hpp"
 
 namespace fedclust::nn {
@@ -88,10 +90,12 @@ Model mlp(const ImageSpec& spec, std::size_t hidden) {
 std::string final_layer_weight_name(const Model& model) {
   // The last layer that owns a "weight" parameter is the classifier.
   const auto slices = model.slices();
-  for (auto it = slices.rbegin(); it != slices.rend(); ++it) {
-    if (it->name.ends_with(".weight")) return it->name;
-  }
-  FEDCLUST_CHECK(false, "model has no weight parameters");
+  const auto it =
+      std::find_if(slices.rbegin(), slices.rend(), [](const ParamSlice& s) {
+        return s.name.ends_with(".weight");
+      });
+  FEDCLUST_CHECK(it != slices.rend(), "model has no weight parameters");
+  return it->name;
 }
 
 }  // namespace fedclust::nn

@@ -58,7 +58,10 @@ Partition dirichlet_partition(const data::Dataset& pool,
   // Re-draw until every client has at least min_samples (the standard
   // trick in the ICDE'22 reference code; tiny beta occasionally starves
   // a client).
-  for (int attempt = 0; attempt < 100; ++attempt) {
+  for (int attempt = 0;; ++attempt) {
+    FEDCLUST_CHECK(attempt < 100,
+                   "dirichlet_partition failed to satisfy min_samples="
+                       << min_samples << " after 100 attempts");
     Partition part;
     part.client_indices.assign(num_clients, {});
     for (const auto& cls : by_class) {
@@ -81,8 +84,6 @@ Partition dirichlet_partition(const data::Dataset& pool,
       return part;
     }
   }
-  FEDCLUST_CHECK(false, "dirichlet_partition failed to satisfy min_samples="
-                            << min_samples << " after 100 attempts");
 }
 
 Partition shard_partition(const data::Dataset& pool, std::size_t num_clients,

@@ -67,7 +67,7 @@ struct KernelTable {
   void (*sub_mul)(const float* x, float* y, float mean, float inv,
                   std::size_t n);
   void (*relu_forward)(const float* x, float* y, std::size_t n);
-  /// g = x > 0 ? g : 0
+  /// g = x <= 0 ? 0 : g (a NaN x passes g)
   void (*relu_backward)(const float* x, float* g, std::size_t n);
 
   // -- reductions (f32 in, f64 accumulation, fixed lane order) -------------

@@ -45,6 +45,11 @@ class ScratchArena {
   /// Total floats currently held across all slots' buffers.
   std::size_t footprint() const;
 
+  /// Floats held by slot `key`'s buffer (0 if the slot was never touched).
+  std::size_t capacity(std::size_t key) const {
+    return key < slots_.size() ? slots_[key].buffer_capacity() : 0;
+  }
+
   /// Drops all slots (and their buffers).
   void reset();
 

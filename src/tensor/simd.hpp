@@ -61,10 +61,11 @@ inline f32x max(f32x a, f32x b) { return {_mm256_max_ps(a.v, b.v)}; }
 inline f32x fmadd(f32x a, f32x b, f32x c) {
   return {_mm256_fmadd_ps(a.v, b.v, c.v)};
 }
-/// Lanes of v where x > 0, else 0 (NaN lanes of x select 0).
+/// Lanes of v, zeroed where x <= 0 (NaN lanes of x keep v, as the
+/// scalar kernels do).
 inline f32x zero_where_nonpos(f32x x, f32x v) {
-  const __m256 mask = _mm256_cmp_ps(x.v, _mm256_setzero_ps(), _CMP_GT_OQ);
-  return {_mm256_and_ps(mask, v.v)};
+  const __m256 mask = _mm256_cmp_ps(x.v, _mm256_setzero_ps(), _CMP_LE_OQ);
+  return {_mm256_andnot_ps(mask, v.v)};
 }
 
 /// Horizontal sum in a fixed lane order (pairwise tree).
@@ -178,9 +179,9 @@ inline f32x mul(f32x a, f32x b) { return {vmulq_f32(a.v, b.v)}; }
 inline f32x max(f32x a, f32x b) { return {vmaxq_f32(a.v, b.v)}; }
 inline f32x fmadd(f32x a, f32x b, f32x c) { return {vfmaq_f32(c.v, a.v, b.v)}; }
 inline f32x zero_where_nonpos(f32x x, f32x v) {
-  const uint32x4_t mask = vcgtq_f32(x.v, vdupq_n_f32(0.0f));
+  const uint32x4_t mask = vcleq_f32(x.v, vdupq_n_f32(0.0f));
   return {vreinterpretq_f32_u32(
-      vandq_u32(mask, vreinterpretq_u32_f32(v.v)))};
+      vbicq_u32(vreinterpretq_u32_f32(v.v), mask))};
 }
 inline float hsum(f32x a) {
   const float32x2_t s = vadd_f32(vget_low_f32(a.v), vget_high_f32(a.v));
@@ -303,7 +304,7 @@ inline f32x fmadd(f32x a, f32x b, f32x c) {
 }
 inline f32x zero_where_nonpos(f32x x, f32x v) {
   f32x r;
-  for (std::size_t i = 0; i < 4; ++i) r.v[i] = x.v[i] > 0.0f ? v.v[i] : 0.0f;
+  for (std::size_t i = 0; i < 4; ++i) r.v[i] = x.v[i] <= 0.0f ? 0.0f : v.v[i];
   return r;
 }
 inline float hsum(f32x a) {

@@ -1,6 +1,7 @@
 #include "utils/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "utils/error.hpp"
 
@@ -44,30 +45,33 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   FEDCLUST_REQUIRE(begin <= end, "parallel_for range is inverted");
   const std::size_t n = end - begin;
   if (n == 0) return;
-  const std::size_t blocks = std::min(n, workers_.size());
-  const std::size_t chunk = (n + blocks - 1) / blocks;
 
-  std::vector<std::future<void>> futures;
-  futures.reserve(blocks);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t lo = begin + b * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    futures.push_back(submit([lo, hi, &body] {
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    }));
-  }
-  // Wait for everyone, then surface the first failure: cancelling the
-  // remaining blocks is not worth the complexity for simulation workloads.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+  // Each runner claims the next unclaimed index, so a slow iteration
+  // holds up only its own runner. Every index runs exactly once, even
+  // after a failure, so the set of side effects never depends on timing.
+  std::atomic<std::size_t> next{begin};
+  std::mutex error_mutex;
+  std::size_t error_index = end;
+  std::exception_ptr error;
+  const auto run = [&] {
+    for (std::size_t i = next++; i < end; i = next++) {
+      try {
+        body(i);
+      } catch (...) {
+        std::lock_guard lock(error_mutex);
+        if (i < error_index) {
+          error_index = i;
+          error = std::current_exception();
+        }
+      }
     }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  };
+  const std::size_t runners = std::min(n, workers_.size());
+  std::vector<std::future<void>> futures;
+  futures.reserve(runners);
+  for (std::size_t r = 0; r < runners; ++r) futures.push_back(submit(run));
+  for (auto& f : futures) f.get();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace fedclust

@@ -1,9 +1,10 @@
 // Fixed-size worker pool used to simulate clients training in parallel.
 //
-// The FL engine submits one task per sampled client each round and waits
-// for the batch to finish. Determinism is preserved because each task owns
-// its state (client-local RNG, model copy) and results are written to
-// pre-assigned slots, so scheduling order never changes the outcome.
+// The FL engine runs one parallel_for iteration per sampled client each
+// round and waits for the batch to finish. Determinism is preserved
+// because each iteration owns its state (client-local RNG, model copy)
+// and results are written to pre-assigned slots, so scheduling order
+// never changes the outcome.
 #pragma once
 
 #include <condition_variable>
@@ -48,10 +49,13 @@ class ThreadPool {
     return fut;
   }
 
-  /// Runs body(i) for i in [begin, end), distributing iterations across
-  /// the pool in contiguous blocks. Blocks until every iteration is done;
-  /// rethrows the first exception encountered (by iteration order of the
-  /// failing block).
+  /// Runs body(i) for i in [begin, end) across the pool. Runners claim
+  /// one index at a time from a shared counter, in ascending order, so
+  /// uneven iterations balance themselves; which worker runs an index is
+  /// unspecified, so bodies must write results to index-owned slots.
+  /// Blocks until every iteration is done (each runs exactly once, even
+  /// when some throw), then rethrows the exception of the lowest failing
+  /// index.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body);
 

@@ -113,6 +113,31 @@ TEST(TrainLocal, DeterministicGivenRng) {
   EXPECT_EQ(a.flat_weights(), b.flat_weights());
 }
 
+TEST(TrainLocal, FirstConvNeverFormsItsInputGradient) {
+  // Model::backward runs only the parameter half of conv1's backward, so
+  // the grad-columns workspace of its im2col input gradient stays empty;
+  // conv2 still needs its input gradient and fills that slot.
+  data::SyntheticSpec spec = testing::tiny_image_spec();
+  spec.image = {1, 28, 28, 4};
+  const data::SyntheticGenerator gen(spec, 14);
+  Rng data_rng(15);
+  const data::Dataset pool = gen.generate(40, data_rng);
+  nn::Model model = nn::lenet5(spec.image);
+  Rng init(16);
+  model.init_params(init);
+  LocalTrainConfig cfg;
+  cfg.epochs = 2;
+  cfg.batch_size = 16;
+  cfg.sgd.lr = 0.05;
+  train_local(model, pool, cfg, Rng(17));
+
+  const auto& conv1 = dynamic_cast<const nn::Conv2d&>(model.layer(0));
+  const auto& conv2 = dynamic_cast<const nn::Conv2d&>(model.layer(3));
+  EXPECT_GT(conv1.scratch_capacity(nn::Conv2d::kColumns), 0u);
+  EXPECT_EQ(conv1.scratch_capacity(nn::Conv2d::kGradColumns), 0u);
+  EXPECT_GT(conv2.scratch_capacity(nn::Conv2d::kGradColumns), 0u);
+}
+
 nn::Model dropout_mlp() {
   nn::Model m;
   m.emplace<nn::Flatten>();

@@ -5,6 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
+
+#include "tensor/kernels.hpp"
 
 namespace fedclust::nn {
 namespace {
@@ -170,6 +175,55 @@ TEST(ReLULayer, BackwardMasksNegativeInputs) {
   EXPECT_FLOAT_EQ(dx[1], 1.0f);
   EXPECT_FLOAT_EQ(dx[2], 1.0f);
   EXPECT_FLOAT_EQ(dx[3], 0.0f);
+}
+
+TEST(ReLULayer, BackwardBitwiseMatchesKernelOnInput) {
+  // The mask must reproduce relu_backward applied to the cached input
+  // itself, on every edge of its x <= 0 contract. 37 elements cover the
+  // SIMD body and the scalar tail.
+  const float edges[] = {std::numeric_limits<float>::quiet_NaN(),
+                         -0.0f,
+                         0.0f,
+                         std::numeric_limits<float>::denorm_min(),
+                         -std::numeric_limits<float>::denorm_min(),
+                         1.0f,
+                         -1.0f};
+  std::vector<float> xs(37), gs(37);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    xs[i] = edges[i % std::size(edges)];
+    gs[i] = 0.25f * static_cast<float>(i + 1) * (i % 2 == 0 ? 1.0f : -1.0f);
+  }
+  const Tensor x({xs.size()}, xs);
+  const Tensor g({gs.size()}, gs);
+
+  ReLU relu;
+  (void)relu.forward(x, true);
+  const Tensor dx = relu.backward(g);
+
+  std::vector<float> want = gs;
+  ops::kernels().relu_backward(xs.data(), want.data(), want.size());
+  ASSERT_EQ(dx.numel(), want.size());
+  EXPECT_EQ(std::memcmp(dx.data(), want.data(), want.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(dx[0], g[0]);  // NaN input passes its gradient
+  EXPECT_EQ(dx[1], 0.0f);  // -0 blocks it
+  EXPECT_EQ(dx[3], g[3]);  // a positive denormal passes it
+}
+
+TEST(ReLULayer, SteadyStateBatchesDoNotReallocateMask) {
+  ReLU relu;
+  const Tensor full = random_tensor({32, 6, 4, 4}, 86);
+  const Tensor tail = random_tensor({5, 6, 4, 4}, 87);
+  (void)relu.forward(full, true);
+  (void)relu.backward(full);
+  EXPECT_EQ(relu.mask_allocations(), 1u);
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    (void)relu.forward(full, true);
+    (void)relu.backward(full);
+    (void)relu.forward(tail, true);  // an epoch's short last batch
+    (void)relu.backward(tail);
+  }
+  EXPECT_EQ(relu.mask_allocations(), 1u);
 }
 
 TEST(TanhLayer, ForwardAndGradient) {
@@ -504,6 +558,25 @@ TEST(EvalForward, MaxPoolKeepsTrainArgmaxAcrossEvalPasses) {
   (void)pool.forward(x1, true);
   (void)pool.forward(x2, false);
   const Tensor dx = pool.backward(g);
+
+  (void)control.forward(x1, true);
+  const Tensor dx_control = control.backward(g);
+  for (std::size_t i = 0; i < dx.numel(); ++i) {
+    ASSERT_EQ(dx[i], dx_control[i]) << "dx idx " << i;
+  }
+}
+
+TEST(EvalForward, ReLUKeepsTrainMaskAcrossEvalPasses) {
+  ReLU relu;
+  ReLU control;
+  const Tensor x1 = random_tensor({2, 3, 4, 4}, 88);
+  Tensor x2 = x1;
+  x2 *= -1.0f;  // flips every element's sign
+  const Tensor g = random_tensor({2, 3, 4, 4}, 89);
+
+  (void)relu.forward(x1, true);
+  (void)relu.forward(x2, false);
+  const Tensor dx = relu.backward(g);
 
   (void)control.forward(x1, true);
   const Tensor dx_control = control.backward(g);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include <filesystem>
 #include <fstream>
@@ -236,6 +237,76 @@ std::string builder_param_name(const ::testing::TestParamInfo<int>& info) {
 
 INSTANTIATE_TEST_SUITE_P(Builders, BuilderRoundTrip, ::testing::Range(0, 4),
                          builder_param_name);
+
+// Model::backward never forms the model-input gradient; the parameter
+// gradients must still be bit-for-bit those of a full layer-by-layer
+// backward, for every builder and both convolution implementations.
+struct BackwardCase {
+  const char* name;
+  Model (*build)();
+  Shape input;
+  ConvImpl impl;
+};
+
+void PrintTo(const BackwardCase& c, std::ostream* os) { *os << c.name; }
+
+class ModelBackward : public ::testing::TestWithParam<BackwardCase> {};
+
+TEST_P(ModelBackward, ParamGradsMatchFullLayerByLayerBackward) {
+  const BackwardCase& c = GetParam();
+  Model model = c.build();
+  for (std::size_t i = 0; i < model.num_layers(); ++i) {
+    if (auto* conv = dynamic_cast<Conv2d*>(&model.layer(i))) {
+      conv->set_impl(c.impl);
+    }
+  }
+  Rng rng(41);
+  model.init_params(rng);
+  Model manual = model.clone();
+  const Tensor x = Tensor::randn(c.input, rng);
+
+  const Tensor y = model.forward(x, true);
+  const Tensor g = Tensor::randn(y.shape(), rng);
+  model.zero_grad();
+  model.backward(g);
+
+  (void)manual.forward(x, true);
+  manual.zero_grad();
+  Tensor grad = g;
+  for (std::size_t i = manual.num_layers(); i-- > 0;) {
+    grad = manual.layer(i).backward(grad);
+  }
+  EXPECT_EQ(grad.shape(), x.shape());  // the direct call still returns dx
+
+  const std::vector<float> got = model.flat_grads();
+  const std::vector<float> want = manual.flat_grads();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0);
+}
+
+const BackwardCase kBackwardCases[] = {
+    {"lenet5_im2col", [] { return lenet5({1, 28, 28, 10}); }, {3, 1, 28, 28},
+     ConvImpl::kIm2col},
+    {"lenet5_direct", [] { return lenet5({1, 28, 28, 10}); }, {3, 1, 28, 28},
+     ConvImpl::kDirect},
+    {"lenet5_bn_im2col", [] { return lenet5_bn({1, 28, 28, 10}); },
+     {3, 1, 28, 28}, ConvImpl::kIm2col},
+    {"lenet5_bn_direct", [] { return lenet5_bn({1, 28, 28, 10}); },
+     {3, 1, 28, 28}, ConvImpl::kDirect},
+    {"vgg_mini_im2col", [] { return vgg_mini({3, 32, 32, 10}); },
+     {2, 3, 32, 32}, ConvImpl::kIm2col},
+    {"vgg_mini_direct", [] { return vgg_mini({3, 32, 32, 10}); },
+     {2, 3, 32, 32}, ConvImpl::kDirect},
+    {"mlp", [] { return mlp({1, 28, 28, 10}, 32); }, {3, 1, 28, 28},
+     ConvImpl::kIm2col},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Builders, ModelBackward, ::testing::ValuesIn(kBackwardCases),
+    [](const ::testing::TestParamInfo<BackwardCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // -- serialization -----------------------------------------------------------
 

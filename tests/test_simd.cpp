@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "cluster/distance.hpp"
@@ -287,11 +288,16 @@ TEST_F(SimdScalarEquivalence, ReluForwardAndBackward) {
     simd_->relu_forward(x.data(), yv.data(), n);
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(ys[i], yv[i]);
 
+    // A NaN input passes its gradient in vector lanes and the tail alike.
+    x[0] = std::numeric_limits<float>::quiet_NaN();
+    x[n - 1] = std::numeric_limits<float>::quiet_NaN();
     const auto g0 = random_vec(n, 50 + n);
     auto gs = g0, gv = g0;
     scalar_.relu_backward(x.data(), gs.data(), n);
     simd_->relu_backward(x.data(), gv.data(), n);
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(gs[i], gv[i]);
+    EXPECT_EQ(gv[0], g0[0]);
+    EXPECT_EQ(gv[n - 1], g0[n - 1]);
   }
 }
 

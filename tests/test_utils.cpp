@@ -2,11 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <mutex>
+#include <thread>
 
 #include "utils/cli.hpp"
 #include "utils/error.hpp"
@@ -81,6 +85,56 @@ TEST(ThreadPool, ParallelForPropagatesException) {
                                    if (i == 3) throw Error("boom");
                                  }),
                Error);
+}
+
+TEST(ThreadPool, ParallelForRebalancesAroundASlowIndex) {
+  // Index 0 blocks until every other index has run. Contiguous blocks
+  // (3/3/3/1 on 4 workers) would park indices 1 and 2 behind it; with
+  // per-index claiming the other three workers drain the rest.
+  ThreadPool pool(4);
+  constexpr std::size_t kN = 10;
+  std::mutex m;
+  std::condition_variable cv;
+  std::size_t others_done = 0;
+  bool drained = false;
+  pool.parallel_for(0, kN, [&](std::size_t i) {
+    std::unique_lock lock(m);
+    if (i == 0) {
+      drained = cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return others_done == kN - 1; });
+    } else {
+      ++others_done;
+      cv.notify_all();
+    }
+  });
+  EXPECT_TRUE(drained);
+}
+
+TEST(ThreadPool, ParallelForRethrowsLowestFailingIndex) {
+  // Index 7 throws first; index 2 throws later, and its error must win.
+  ThreadPool pool(4);
+  std::atomic<bool> seven_thrown{false};
+  try {
+    pool.parallel_for(0, 10, [&](std::size_t i) {
+      if (i == 2) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!seven_thrown.load() &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        throw Error("index 2");
+      }
+      if (i == 7) {
+        seven_thrown.store(true);
+        throw Error("index 7");
+      }
+    });
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "index 2");
+  }
+  EXPECT_TRUE(seven_thrown.load());
 }
 
 TEST(ThreadPool, SingleThreadStillWorks) {
