@@ -32,14 +32,6 @@ using namespace fedclust;
 
 namespace {
 
-data::SyntheticKind parse_dataset(const std::string& name) {
-  if (name == "cifar10") return data::SyntheticKind::kCifar10;
-  if (name == "fmnist") return data::SyntheticKind::kFmnist;
-  if (name == "svhn") return data::SyntheticKind::kSvhn;
-  FEDCLUST_REQUIRE(false, "unknown dataset '" << name
-                                              << "' (cifar10|fmnist|svhn)");
-}
-
 bench::FleetBenchResult run_stage(std::size_t fleet_size, std::size_t rounds,
                                   double participation, std::size_t edges,
                                   std::size_t samples_per_client,
@@ -180,7 +172,7 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(cli.get_int("threads")),
         cli.get_double("max-rss-mb"),
         static_cast<std::uint64_t>(cli.get_int("seed")),
-        parse_dataset(cli.get_string("dataset"))));
+        data::synthetic_kind_from_string(cli.get_string("dataset"))));
   }
 
   TextTable table({"clients", "cohort", "round ms", "p99 ms", "acc",

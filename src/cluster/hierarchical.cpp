@@ -20,7 +20,7 @@ std::string to_string(Linkage linkage) {
     case Linkage::kWard:
       return "ward";
   }
-  FEDCLUST_CHECK(false, "unknown Linkage");
+  FEDCLUST_FAIL("unknown Linkage");
 }
 
 Linkage linkage_from_string(const std::string& name) {
@@ -28,8 +28,8 @@ Linkage linkage_from_string(const std::string& name) {
   if (name == "complete") return Linkage::kComplete;
   if (name == "average") return Linkage::kAverage;
   if (name == "ward") return Linkage::kWard;
-  FEDCLUST_CHECK(false, "unknown linkage '" << name
-                                            << "' (single|complete|average|ward)");
+  FEDCLUST_FAIL("unknown linkage '" << name
+                                    << "' (single|complete|average|ward)");
 }
 
 namespace {

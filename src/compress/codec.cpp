@@ -450,9 +450,7 @@ std::unique_ptr<UpdateCodec> make_codec(CodecKind kind, double topk_frac) {
     case CodecKind::kDelta:
       return std::make_unique<QuantCodec>(CodecKind::kDelta, 127, false, true);
   }
-  FEDCLUST_CHECK(false, "unknown codec kind "
-                            << static_cast<unsigned>(kind));
-  return nullptr;
+  FEDCLUST_FAIL("unknown codec kind " << static_cast<unsigned>(kind));
 }
 
 const char* to_string(CodecKind kind) {

@@ -16,6 +16,11 @@ void Dataset::add(const Tensor& image, std::int32_t label) {
   labels_.push_back(label);
 }
 
+void Dataset::reserve(std::size_t samples) {
+  pixels_.reserve(samples * sample_numel());
+  labels_.reserve(samples);
+}
+
 std::int32_t Dataset::label(std::size_t i) const {
   FEDCLUST_REQUIRE(i < labels_.size(), "sample index out of range");
   return labels_[i];

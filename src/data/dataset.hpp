@@ -33,6 +33,9 @@ class Dataset {
 
   /// Appends one sample; image numel must match the spec.
   void add(const Tensor& image, std::int32_t label);
+  /// Makes room for `samples` samples in total, so that many add() calls
+  /// do not reallocate.
+  void reserve(std::size_t samples);
 
   std::int32_t label(std::size_t i) const;
   /// Relabels sample i in place (drift scenarios rewrite labels on a

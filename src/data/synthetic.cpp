@@ -2,12 +2,40 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 namespace fedclust::data {
-namespace {
+namespace detail {
 
-/// Fills a (C,H,W) tensor with a smooth zero-mean random field: a sum of
-/// `waves` random 2-D cosines per channel, normalized to unit variance.
+[[gnu::noinline]] double wave_reference(double fu, double fv, double phase,
+                                        double amp, std::size_t x,
+                                        std::size_t y, std::size_t w,
+                                        std::size_t h) {
+  return amp * std::cos(2.0 * M_PI *
+                            (fu * static_cast<double>(x) / static_cast<double>(w) +
+                             fv * static_cast<double>(y) / static_cast<double>(h)) +
+                        phase);
+}
+
+SeparableWave::SeparableWave(double fu, double fv, double phase, double amp,
+                             std::size_t w, std::size_t h)
+    : fu_(fu), fv_(fv), phase_(phase), amp_(amp), w_(w), h_(h),
+      col_cos_(w), col_sin_(w), row_cos_(h), row_sin_(h) {
+  for (std::size_t x = 0; x < w; ++x) {
+    const double a =
+        2.0 * M_PI * (fu * static_cast<double>(x) / static_cast<double>(w)) +
+        phase;
+    col_cos_[x] = amp * std::cos(a);
+    col_sin_[x] = amp * std::sin(a);
+  }
+  for (std::size_t y = 0; y < h; ++y) {
+    const double b =
+        2.0 * M_PI * (fv * static_cast<double>(y) / static_cast<double>(h));
+    row_cos_[y] = std::cos(b);
+    row_sin_[y] = std::sin(b);
+  }
+}
+
 void fill_smooth_field(Tensor& t, const ImageSpec& img, std::size_t waves,
                        Rng& rng) {
   const std::size_t h = img.height, w = img.width;
@@ -21,13 +49,10 @@ void fill_smooth_field(Tensor& t, const ImageSpec& img, std::size_t waves,
       const double fv = rng.uniform(0.5, 3.5);
       const double phase = rng.uniform(0.0, 2.0 * M_PI);
       const double amp = rng.uniform(0.5, 1.0);
+      const SeparableWave wave(fu, fv, phase, amp, w, h);
       for (std::size_t y = 0; y < h; ++y) {
         for (std::size_t x = 0; x < w; ++x) {
-          plane[y * w + x] += static_cast<float>(
-              amp * std::cos(2.0 * M_PI *
-                                 (fu * static_cast<double>(x) / static_cast<double>(w) +
-                                  fv * static_cast<double>(y) / static_cast<double>(h)) +
-                             phase));
+          plane[y * w + x] += wave.pixel(x, y);
         }
       }
     }
@@ -46,7 +71,7 @@ void fill_smooth_field(Tensor& t, const ImageSpec& img, std::size_t waves,
   }
 }
 
-}  // namespace
+}  // namespace detail
 
 std::string to_string(SyntheticKind kind) {
   switch (kind) {
@@ -57,15 +82,14 @@ std::string to_string(SyntheticKind kind) {
     case SyntheticKind::kSvhn:
       return "svhn";
   }
-  FEDCLUST_CHECK(false, "unknown SyntheticKind");
+  FEDCLUST_FAIL("unknown SyntheticKind");
 }
 
 SyntheticKind synthetic_kind_from_string(const std::string& name) {
   if (name == "cifar10") return SyntheticKind::kCifar10;
   if (name == "fmnist") return SyntheticKind::kFmnist;
   if (name == "svhn") return SyntheticKind::kSvhn;
-  FEDCLUST_CHECK(false, "unknown dataset '" << name
-                                            << "' (cifar10|fmnist|svhn)");
+  FEDCLUST_FAIL("unknown dataset '" << name << "' (cifar10|fmnist|svhn)");
 }
 
 SyntheticSpec SyntheticSpec::for_kind(SyntheticKind kind) {
@@ -120,7 +144,7 @@ void SyntheticGenerator::build_prototypes(std::uint64_t seed) {
   // Shared component: the part of every prototype that carries no class
   // information; a large rho makes classes overlap.
   Tensor shared({spec_.image.channels, spec_.image.height, spec_.image.width});
-  fill_smooth_field(shared, spec_.image, spec_.waves, proto_rng);
+  detail::fill_smooth_field(shared, spec_.image, spec_.waves, proto_rng);
 
   const double rho = spec_.class_correlation;
   const float w_shared = static_cast<float>(std::sqrt(rho));
@@ -132,7 +156,7 @@ void SyntheticGenerator::build_prototypes(std::uint64_t seed) {
     for (std::size_t m = 0; m < spec_.modes; ++m) {
       Tensor own(
           {spec_.image.channels, spec_.image.height, spec_.image.width});
-      fill_smooth_field(own, spec_.image, spec_.waves, proto_rng);
+      detail::fill_smooth_field(own, spec_.image, spec_.waves, proto_rng);
       own *= w_own;
       own.axpy(w_shared, shared);
       prototypes_.push_back(std::move(own));
@@ -188,7 +212,7 @@ Tensor SyntheticGenerator::sample(std::int32_t label, Rng& rng) const {
   // Fresh smooth distractor field per sample (class-independent clutter).
   if (spec_.distractor > 0.0) {
     Tensor clutter({img.channels, h, w});
-    fill_smooth_field(clutter, img, spec_.waves, rng);
+    detail::fill_smooth_field(clutter, img, spec_.waves, rng);
     out.axpy(static_cast<float>(spec_.distractor), clutter);
   }
 
@@ -217,6 +241,7 @@ Dataset SyntheticGenerator::generate_per_class(
                    "counts must have one entry per class");
   // Interleave classes (round-robin) so unshuffled prefixes are balanced.
   Dataset ds(spec_.image);
+  ds.reserve(std::accumulate(counts.begin(), counts.end(), std::size_t{0}));
   std::vector<std::size_t> remaining = counts;
   bool any = true;
   while (any) {

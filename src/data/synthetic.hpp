@@ -27,6 +27,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "data/dataset.hpp"
 
@@ -90,5 +91,58 @@ std::pair<Dataset, Dataset> make_synthetic_pool(SyntheticKind kind,
                                                 std::size_t train_samples,
                                                 std::size_t test_samples,
                                                 std::uint64_t seed);
+
+namespace detail {
+
+/// Half-width of the rounding test in fill_smooth_field. Every wave
+/// argument stays below 64, so the separable value lies within 2^-42 of
+/// wave_reference; 2^-36 leaves a 64× margin.
+inline constexpr double kWaveErr = 0x1p-36;
+
+/// One wave at one pixel, amp·cos(2π(fu·x/w + fv·y/h) + phase), with the
+/// generator's original per-pixel expression. The float cast of this
+/// value is the contract; fill_smooth_field falls back to it whenever the
+/// separable value cannot prove the same rounding.
+double wave_reference(double fu, double fv, double phase, double amp,
+                      std::size_t x, std::size_t y, std::size_t w,
+                      std::size_t h);
+
+/// One wave as an outer product: cos(a + b) = cos a·cos b − sin a·sin b
+/// with a per-column angle a = 2π·fu·x/w + phase and a per-row angle
+/// b = 2π·fv·y/h, so a wave costs w + h sin/cos pairs instead of w·h cos.
+class SeparableWave {
+ public:
+  SeparableWave(double fu, double fv, double phase, double amp,
+                std::size_t w, std::size_t h);
+
+  /// The separable value at (x, y); within 2^-42 of wave_reference.
+  double approx(std::size_t x, std::size_t y) const {
+    return col_cos_[x] * row_cos_[y] - col_sin_[x] * row_sin_[y];
+  }
+
+  /// float(wave_reference(…, x, y, …)), bit for bit: the separable value
+  /// when every double within kWaveErr of it rounds to one float (Ziv's
+  /// test; rounding is monotone), else the reference itself.
+  float pixel(std::size_t x, std::size_t y) const {
+    const double v = approx(x, y);
+    const float lo = static_cast<float>(v - kWaveErr);
+    if (lo == static_cast<float>(v + kWaveErr)) return lo;
+    return static_cast<float>(
+        wave_reference(fu_, fv_, phase_, amp_, x, y, w_, h_));
+  }
+
+ private:
+  double fu_, fv_, phase_, amp_;
+  std::size_t w_, h_;
+  std::vector<double> col_cos_, col_sin_;  // amp·cos a, amp·sin a per column
+  std::vector<double> row_cos_, row_sin_;  // cos b, sin b per row
+};
+
+/// Fills a (C,H,W) tensor with a smooth zero-mean random field: a sum of
+/// `waves` random 2-D cosines per channel, normalized to unit variance.
+void fill_smooth_field(Tensor& t, const ImageSpec& img, std::size_t waves,
+                       Rng& rng);
+
+}  // namespace detail
 
 }  // namespace fedclust::data

@@ -42,20 +42,19 @@ void Algorithm::after_round(Federation&, std::size_t, bool,
                             const AccuracySummary*, RunResult&) {}
 
 std::span<const float> Algorithm::cluster_model(std::size_t) const {
-  FEDCLUST_CHECK(false, name() << " does not expose async cluster models");
-  return {};
+  FEDCLUST_FAIL(name() << " does not expose async cluster models");
 }
 
 void Algorithm::set_cluster_model(std::size_t, std::vector<float>) {
-  FEDCLUST_CHECK(false, name() << " does not expose async cluster models");
+  FEDCLUST_FAIL(name() << " does not expose async cluster models");
 }
 
 void Algorithm::save_state(robust::RunCheckpoint&) const {
-  FEDCLUST_CHECK(false, name() << " does not support checkpoints");
+  FEDCLUST_FAIL(name() << " does not support checkpoints");
 }
 
 void Algorithm::restore_state(Federation&, const robust::RunCheckpoint&) {
-  FEDCLUST_CHECK(false, name() << " does not support checkpoints");
+  FEDCLUST_FAIL(name() << " does not support checkpoints");
 }
 
 namespace {

@@ -77,8 +77,7 @@ std::function<std::span<const float>(std::size_t)> downloaded_starts(
     for (std::size_t i = 0; i < keys->size(); ++i) {
       if ((*keys)[i] == s.data()) return (*vals)[i];
     }
-    FEDCLUST_CHECK(false, "client start span was not pre-decoded");
-    return {};
+    FEDCLUST_FAIL("client start span was not pre-decoded");
   };
 }
 

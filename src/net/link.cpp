@@ -38,9 +38,8 @@ Profile profile_from_string(const std::string& name) {
   if (name == "wan") return Profile::kWan;
   if (name == "cellular") return Profile::kCellular;
   if (name == "heterogeneous") return Profile::kHeterogeneous;
-  FEDCLUST_REQUIRE(false, "unknown network profile '"
-                              << name
-                              << "' (want lan|wan|cellular|heterogeneous)");
+  FEDCLUST_FAIL("unknown network profile '"
+                << name << "' (want lan|wan|cellular|heterogeneous)");
 }
 
 const char* to_string(Profile profile) {

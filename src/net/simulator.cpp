@@ -198,7 +198,7 @@ RoundReport NetworkSimulator::run_round(std::size_t round,
         break;
       }
       default:
-        FEDCLUST_CHECK(false, "unexpected event in simulation loop");
+        FEDCLUST_FAIL("unexpected event in simulation loop");
     }
   }
 

@@ -104,7 +104,7 @@ ParamSlice Model::slice_for(const std::string& qualified_name) const {
   for (const ParamSlice& s : slices()) {
     if (s.name == qualified_name) return s;
   }
-  FEDCLUST_CHECK(false, "no parameter named '" << qualified_name << "'");
+  FEDCLUST_FAIL("no parameter named '" << qualified_name << "'");
 }
 
 std::vector<float> Model::flat_weights() const {

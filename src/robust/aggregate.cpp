@@ -157,7 +157,7 @@ AggregationRule aggregation_rule_from_string(const std::string& name) {
   if (name == "trimmed_mean") return AggregationRule::kTrimmedMean;
   if (name == "coordinate_median") return AggregationRule::kCoordinateMedian;
   if (name == "norm_clip") return AggregationRule::kNormClip;
-  FEDCLUST_CHECK(false, "unknown aggregation rule '" << name << "'");
+  FEDCLUST_FAIL("unknown aggregation rule '" << name << "'");
 }
 
 std::vector<float> sparse_trimmed_mean(
@@ -232,7 +232,7 @@ std::vector<float> robust_aggregate(
       return norm_clip(inputs, coefficients, dim, config.clip_factor,
                        reference, pool);
   }
-  FEDCLUST_CHECK(false, "unhandled aggregation rule");
+  FEDCLUST_FAIL("unhandled aggregation rule");
 }
 
 }  // namespace fedclust::robust

@@ -18,17 +18,15 @@ const char* route_mode_name(RouteMode mode) {
     case RouteMode::kEnsemble:
       return "ensemble";
   }
-  FEDCLUST_REQUIRE(false, "unreachable route mode");
-  return "";
+  FEDCLUST_FAIL("unreachable route mode");
 }
 
 RouteMode parse_route_mode(const std::string& name) {
   if (name == "hard") return RouteMode::kHard;
   if (name == "soft") return RouteMode::kSoft;
   if (name == "ensemble") return RouteMode::kEnsemble;
-  FEDCLUST_REQUIRE(false, "unknown route mode '"
-                              << name << "' (hard | soft | ensemble)");
-  return RouteMode::kHard;
+  FEDCLUST_FAIL("unknown route mode '" << name
+                                        << "' (hard | soft | ensemble)");
 }
 
 std::vector<double> gaussian_weights(const std::vector<double>& distances,

@@ -84,7 +84,7 @@ void CliParser::parse(int argc, const char* const* argv) {
           break;  // handled above
       }
     } catch (const std::exception&) {
-      FEDCLUST_CHECK(false, "bad value '" << value << "' for --" << arg);
+      FEDCLUST_FAIL("bad value '" << value << "' for --" << arg);
     }
   }
 }

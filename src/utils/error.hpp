@@ -2,8 +2,8 @@
 //
 // Library code reports precondition violations and invariant breaks by
 // throwing `fedclust::Error` (a std::runtime_error with file:line context)
-// via the FEDCLUST_CHECK / FEDCLUST_REQUIRE macros. Hot inner loops use
-// FEDCLUST_DCHECK, which compiles away in release builds.
+// via the FEDCLUST_CHECK / FEDCLUST_REQUIRE / FEDCLUST_FAIL macros. Hot
+// inner loops use FEDCLUST_DCHECK, which compiles away in release builds.
 #pragma once
 
 #include <sstream>
@@ -31,17 +31,28 @@ namespace detail {
 }  // namespace detail
 }  // namespace fedclust
 
+// Throws fedclust::Error for the failed expression `expr` with the
+// optional streamed message.
+#define FEDCLUST_DETAIL_FAIL(expr, ...)                                 \
+  do {                                                                  \
+    std::ostringstream fedclust_check_msg_;                             \
+    __VA_OPT__(fedclust_check_msg_ << __VA_ARGS__;)                     \
+    ::fedclust::detail::throw_check_failure(expr, __FILE__, __LINE__,   \
+                                            fedclust_check_msg_.str()); \
+  } while (false)
+
 /// Always-on check with an optional streamed message:
 ///   FEDCLUST_CHECK(rows > 0, "matrix must be non-empty, got " << rows);
-#define FEDCLUST_CHECK(cond, ...)                                         \
-  do {                                                                    \
-    if (!(cond)) {                                                        \
-      std::ostringstream fedclust_check_msg_;                             \
-      __VA_OPT__(fedclust_check_msg_ << __VA_ARGS__;)                     \
-      ::fedclust::detail::throw_check_failure(#cond, __FILE__, __LINE__,  \
-                                              fedclust_check_msg_.str()); \
-    }                                                                     \
+#define FEDCLUST_CHECK(cond, ...)                          \
+  do {                                                     \
+    if (!(cond)) FEDCLUST_DETAIL_FAIL(#cond, __VA_ARGS__); \
   } while (false)
+
+/// Unconditional failure, e.g. after an exhaustive switch. The throw is
+/// [[noreturn]], so it may end a non-void function; the message reads as
+/// that of a failed FEDCLUST_CHECK(false, ...):
+///   FEDCLUST_FAIL("unknown codec kind " << kind);
+#define FEDCLUST_FAIL(...) FEDCLUST_DETAIL_FAIL("false", __VA_ARGS__)
 
 /// Precondition check on public API boundaries (same behaviour as
 /// FEDCLUST_CHECK; a distinct name documents intent).

@@ -2,7 +2,9 @@
 // generators that stand in for CIFAR-10 / FMNIST / SVHN.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "data/dataset.hpp"
@@ -38,6 +40,27 @@ TEST(Dataset, AddValidatesShapeAndLabel) {
   EXPECT_THROW(ds.add(Tensor({1, 3, 3}), 0), Error);
   EXPECT_THROW(ds.add(Tensor({1, 4, 4}), 3), Error);
   EXPECT_THROW(ds.add(Tensor({1, 4, 4}), -1), Error);
+}
+
+TEST(Dataset, ReserveKeepsContent) {
+  Dataset ds = tiny_dataset();
+  const Batch before = ds.all();
+  ds.reserve(100);
+  EXPECT_EQ(ds.size(), 12u);
+  const Batch after = ds.all();
+  EXPECT_EQ(after.labels, before.labels);
+  EXPECT_TRUE(std::equal(before.images.flat().begin(),
+                         before.images.flat().end(),
+                         after.images.flat().begin()));
+  // Reserving less than the current size never drops samples.
+  ds.reserve(0);
+  Tensor img({1, 4, 4});
+  img.fill(7.0f);
+  ds.add(img, 2);
+  EXPECT_EQ(ds.size(), 13u);
+  EXPECT_EQ(ds.label(11), 2);
+  EXPECT_FLOAT_EQ(ds.image(11)[0], 2.0f);
+  EXPECT_FLOAT_EQ(ds.image(12)[0], 7.0f);
 }
 
 TEST(Dataset, GatherBuildsBatch) {
@@ -241,6 +264,99 @@ TEST(Synthetic, PoolSplitsAreDisjointStreams) {
   EXPECT_EQ(test.size(), 20u);
   // Not byte-identical data (different RNG streams).
   EXPECT_GT(euclidean_distance(train.image(0), test.image(0)), 1e-3f);
+}
+
+// -- separable smooth fields ------------------------------------------------
+
+// The generator's field before the separable waves: every pixel of every
+// wave from wave_reference, with the same RNG draws, accumulation order
+// and normalization as fill_smooth_field.
+Tensor reference_field(const ImageSpec& img, std::size_t waves, Rng& rng) {
+  const std::size_t h = img.height, w = img.width;
+  Tensor t({img.channels, h, w});
+  for (std::size_t c = 0; c < img.channels; ++c) {
+    float* plane = t.data() + c * h * w;
+    for (std::size_t k = 0; k < waves; ++k) {
+      const double fu = rng.uniform(0.5, 3.5);
+      const double fv = rng.uniform(0.5, 3.5);
+      const double phase = rng.uniform(0.0, 2.0 * M_PI);
+      const double amp = rng.uniform(0.5, 1.0);
+      for (std::size_t y = 0; y < h; ++y) {
+        for (std::size_t x = 0; x < w; ++x) {
+          plane[y * w + x] += static_cast<float>(
+              detail::wave_reference(fu, fv, phase, amp, x, y, w, h));
+        }
+      }
+    }
+    double mean = 0.0;
+    for (std::size_t i = 0; i < h * w; ++i) mean += plane[i];
+    mean /= static_cast<double>(h * w);
+    double var = 0.0;
+    for (std::size_t i = 0; i < h * w; ++i) {
+      plane[i] -= static_cast<float>(mean);
+      var += static_cast<double>(plane[i]) * plane[i];
+    }
+    var /= static_cast<double>(h * w);
+    const float inv =
+        var > 0.0 ? static_cast<float>(1.0 / std::sqrt(var)) : 1.0f;
+    for (std::size_t i = 0; i < h * w; ++i) plane[i] *= inv;
+  }
+  return t;
+}
+
+TEST(SmoothField, MatchesPerPixelReferenceBitwise) {
+  const ImageSpec geometries[] = {
+      {1, 28, 28, 10}, {3, 32, 32, 10}, {1, 8, 8, 4}};
+  for (const ImageSpec& img : geometries) {
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+      Rng fast_rng(seed), ref_rng(seed);
+      Tensor fast({img.channels, img.height, img.width});
+      detail::fill_smooth_field(fast, img, 6, fast_rng);
+      const Tensor ref = reference_field(img, 6, ref_rng);
+      ASSERT_EQ(std::memcmp(fast.data(), ref.data(),
+                            ref.numel() * sizeof(float)),
+                0)
+          << img.channels << "x" << img.height << "x" << img.width
+          << " seed " << seed;
+      // Both consumed the same draws, so the streams stay in step.
+      ASSERT_EQ(fast_rng(), ref_rng());
+    }
+  }
+}
+
+TEST(SmoothField, SeparableGapWithinBound) {
+  double max_gap = 0.0;
+  std::size_t pixels = 0, fallbacks = 0;
+  const auto sweep = [&](double fu, double fv, double phase, double amp,
+                         std::size_t w, std::size_t h) {
+    const detail::SeparableWave wave(fu, fv, phase, amp, w, h);
+    for (std::size_t y = 0; y < h; ++y) {
+      for (std::size_t x = 0; x < w; ++x) {
+        const double v = wave.approx(x, y);
+        const double ref =
+            detail::wave_reference(fu, fv, phase, amp, x, y, w, h);
+        max_gap = std::max(max_gap, std::abs(v - ref));
+        fallbacks += static_cast<float>(v - detail::kWaveErr) !=
+                     static_cast<float>(v + detail::kWaveErr);
+        ++pixels;
+      }
+    }
+  };
+  // The extreme corner: largest frequencies and phase, so the largest
+  // angle, at the last pixel.
+  const double top_phase = std::nextafter(2.0 * M_PI, 0.0);
+  for (std::size_t side : {8u, 28u, 32u}) {
+    sweep(3.5, 3.5, top_phase, 1.0, side, side);
+  }
+  Rng rng(2024);
+  while (pixels < 10'000'000) {
+    const std::size_t side = rng.uniform_int(2) == 0 ? 28 : 32;
+    sweep(rng.uniform(0.5, 3.5), rng.uniform(0.5, 3.5),
+          rng.uniform(0.0, 2.0 * M_PI), rng.uniform(0.5, 1.0), side, side);
+  }
+  EXPECT_LE(max_gap, detail::kWaveErr / 64);
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_LT(fallbacks, pixels / 100);  // the fast path is the common case
 }
 
 }  // namespace

@@ -40,6 +40,18 @@ TEST(Error, CheckWithoutMessage) {
   EXPECT_NO_THROW(FEDCLUST_CHECK(true));
 }
 
+TEST(Error, FailThrowsLikeAFailedCheck) {
+  try {
+    FEDCLUST_FAIL("unknown kind " << 7);
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("check failed: false"), std::string::npos);
+    EXPECT_NE(what.find("unknown kind 7"), std::string::npos);
+    return;
+  }
+  FAIL() << "expected throw";
+}
+
 // -- thread pool ------------------------------------------------------------
 
 TEST(ThreadPool, ExecutesSubmittedTasks) {
