@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <future>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <string>
 
@@ -16,11 +18,10 @@
 namespace fedclust::fl {
 namespace {
 
-/// Dimension-chunked dispatch shared by the flat (weighted_accumulate)
-/// and folded (weighted_accumulate_partial) reductions. Chunk boundaries
-/// are rounded up to ops::kChunkAlign so every element keeps the same
-/// vector-lane membership no matter how many workers split the range —
-/// the result stays bit-identical across thread counts.
+/// Dimension-chunked dispatch of the flat weighted_accumulate reduction.
+/// Chunk boundaries are rounded up to ops::kChunkAlign so every element
+/// keeps the same vector-lane membership no matter how many workers split
+/// the range — the result stays bit-identical across thread counts.
 template <typename ReduceRange>
 void chunked_reduce(std::size_t dim, ThreadPool* pool,
                     const ReduceRange& reduce_range) {
@@ -734,58 +735,107 @@ Federation::FoldResult Federation::train_clients_folded(
         static_cast<double>(source_->train_size(survivors[i])) / total;
   }
 
-  // The shared slot-ordered double accumulator: every edge folds its
-  // contiguous slot range into it in ascending slot order, in batches
-  // bounded by the training pool's width — so resident updates are
-  // O(batch × model), never O(cohort × model). Per element, the fold
-  // executes the exact operation sequence of the one-shot
-  // weighted_accumulate kernel (batch boundaries only park the
-  // accumulator in memory), which is why ANY edge count reproduces flat
-  // aggregation bit-for-bit.
+  // One streaming pass folds every update into ONE shared double
+  // accumulator in ascending slot order — the edge tree's fold order,
+  // since edges own contiguous ascending slot ranges. A runner starts
+  // slot s only while s < folded + window, so resident updates are
+  // O(window × model); whichever runner finishes a slot while nobody
+  // else is folding folds every contiguous ready slot. Per element, the
+  // fold executes the exact operation sequence of the one-shot
+  // weighted_accumulate kernel (fold boundaries only park the
+  // accumulator in memory, and a full-range call equals the
+  // kChunkAlign-chunked one), so ANY edge count and ANY worker count
+  // reproduce flat aggregation bit-for-bit. The fold runs inside a pool_
+  // runner and must never submit to pool_: runners blocked on the window
+  // would never pick the work up.
+  topology.clamped_edges(cohort);  // validates num_edges
+  const std::size_t window = std::max<std::size_t>(4 * pool_.size(), 8);
+  std::vector<ClientUpdate> ring(window);
+  std::vector<char> ready(window, 0);
+  std::vector<const float*> srcs(window);  // the folder's scratch
   std::vector<double> acc(model_size_, 0.0);
-  const std::size_t batch_cap = std::max<std::size_t>(2 * pool_.size(), 8);
-  const std::size_t edges = topology.clamped_edges(cohort);
   const ops::KernelTable* kp = &ops::kernels();
   double loss_sum = 0.0;
-  for (std::size_t e = 0; e < edges; ++e) {
-    const auto [edge_begin, edge_end] = topology.slot_range(e, cohort);
-    for (std::size_t bb = edge_begin; bb < edge_end; bb += batch_cap) {
-      const std::size_t be = std::min(edge_end, bb + batch_cap);
-      const std::span<const std::size_t> ids(survivors.data() + bb, be - bb);
-      std::vector<ClientUpdate> batch(ids.size());
-      train_longest_first(pool_, *source_, ids, [&](std::size_t j) {
-        batch[j] = train_one(ids[j], round, effective_start, local,
-                             /*fault_attempt=*/0);
-        if (transport_uploads) {
-          std::vector<float> rt(batch[j].weights.size());
-          compress::roundtrip(*up_codec_, batch[j].weights,
-                              effective_start(batch[j].client_id), layout_,
-                              rt);
-          batch[j].weights = std::move(rt);
-        }
+  std::mutex mutex;
+  std::condition_variable advanced;
+  std::size_t folded = 0;
+  bool folding = false;
+  // Lowest slot whose runner threw; cohort while none has.
+  std::size_t first_failure = cohort;
+
+  pool_.parallel_for(0, cohort, [&](std::size_t s) {
+    {
+      std::unique_lock lock(mutex);
+      advanced.wait(lock, [&] {
+        return s < folded + window || first_failure < cohort;
       });
-      std::vector<const float*> srcs(batch.size());
-      for (std::size_t j = 0; j < batch.size(); ++j) {
-        if (config_.audit) {
-          const std::string context =
-              "round " + std::to_string(round) + " client " +
-              std::to_string(batch[j].client_id) + " update weights";
-          check::assert_all_finite(batch[j].weights, context.c_str());
-          FEDCLUST_CHECK(std::isfinite(batch[j].train_loss),
-                         context << ": non-finite train loss "
-                                 << batch[j].train_loss);
-        }
-        loss_sum += batch[j].train_loss;
-        srcs[j] = batch[j].weights.data();
-      }
-      chunked_reduce(model_size_, aggregation_pool(),
-                     [&](std::size_t begin, std::size_t end) {
-                       kp->weighted_accumulate_partial(
-                           srcs.data(), coeff.data() + bb, batch.size(),
-                           acc.data(), begin, end);
-                     });
+      // Slots are claimed in ascending order and a started slot lies
+      // inside the window, so every slot below a failure has started and
+      // runs to completion: the lowest failing slot overall is the one
+      // parallel_for rethrows. Slots above it are abandoned.
+      FEDCLUST_CHECK(s < first_failure,
+                     "fold abandoned slot " << s << " after slot "
+                                            << first_failure << " failed");
     }
-  }
+    try {
+      ClientUpdate u = train_one(survivors[s], round, effective_start, local,
+                                 /*fault_attempt=*/0);
+      if (transport_uploads) {
+        std::vector<float> rt(u.weights.size());
+        compress::roundtrip(*up_codec_, u.weights,
+                            effective_start(u.client_id), layout_, rt);
+        u.weights = std::move(rt);
+      }
+      if (config_.audit) {
+        const std::string context = "round " + std::to_string(round) +
+                                    " client " + std::to_string(u.client_id) +
+                                    " update weights";
+        check::assert_all_finite(u.weights, context.c_str());
+        FEDCLUST_CHECK(std::isfinite(u.train_loss),
+                       context << ": non-finite train loss " << u.train_loss);
+      }
+      std::unique_lock lock(mutex);
+      ring[s % window] = std::move(u);
+      ready[s % window] = 1;
+      if (folding) return;  // the active folder will pick this slot up
+      folding = true;
+      while (folded < cohort && ready[folded % window] != 0) {
+        const std::size_t base = folded;
+        std::size_t k = 0;
+        while (k < window && base + k < cohort &&
+               ready[(base + k) % window] != 0) {
+          ++k;
+        }
+        // Entries [base, base + k) are the folder's alone until `folded`
+        // advances: runners only write slots that are not ready yet.
+        lock.unlock();
+        for (std::size_t j = 0; j < k; ++j) {
+          const ClientUpdate& ready_update = ring[(base + j) % window];
+          srcs[j] = ready_update.weights.data();
+          loss_sum += ready_update.train_loss;
+        }
+        kp->weighted_accumulate_partial(srcs.data(), coeff.data() + base, k,
+                                        acc.data(), 0, model_size_);
+        for (std::size_t j = 0; j < k; ++j) {
+          ring[(base + j) % window] = ClientUpdate{};
+        }
+        lock.lock();
+        for (std::size_t j = 0; j < k; ++j) ready[(base + j) % window] = 0;
+        folded = base + k;
+        advanced.notify_all();
+      }
+      folding = false;
+    } catch (...) {
+      {
+        std::lock_guard lock(mutex);
+        first_failure = std::min(first_failure, s);
+      }
+      advanced.notify_all();
+      throw;
+    }
+  });
+  FEDCLUST_CHECK(folded == cohort, "fold stopped at slot " << folded << " of "
+                                                           << cohort);
   out.mean_train_loss = loss_sum / static_cast<double>(cohort);
 
   // Finalize: the double→float cast is the same IEEE round-to-nearest

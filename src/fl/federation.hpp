@@ -296,20 +296,28 @@ class Federation {
 
   /// Cross-device round: trains the listed clients and folds their
   /// updates through a two-level edge-aggregator tree WITHOUT ever
-  /// holding O(cohort) updates — resident updates are bounded by the
-  /// training pool's width per edge batch, and each edge contributes its
-  /// slot range to one shared slot-ordered double accumulator
-  /// (ops::weighted_accumulate_partial). Under the default kWeightedMean
-  /// rule the result is bit-identical to train_clients + aggregate for
-  /// ANY topology.num_edges (every element sees the identical operation
-  /// sequence). Churn, network fate, faults, and metering behave exactly
-  /// like train_clients (allow_failures = true).
+  /// holding O(cohort) updates. One streaming pass over the survivor
+  /// slots trains them on the pool; finished updates wait in a
+  /// slot-indexed ring, and whichever worker finishes a slot while no
+  /// other is folding folds every contiguous ready slot into one shared
+  /// slot-ordered double accumulator (ops::weighted_accumulate_partial).
+  /// Edges own contiguous ascending slot ranges, so slot order is the
+  /// tree's fold order. Under the default kWeightedMean rule the result
+  /// is bit-identical to train_clients + aggregate for ANY
+  /// topology.num_edges and any worker count (every element sees the
+  /// identical operation sequence). Churn, network fate, faults, and
+  /// metering behave exactly like train_clients (allow_failures = true);
+  /// under config().audit the first failing slot's error is rethrown,
+  /// naming the client train_clients' audit sweep names.
   ///
-  /// MEMORY NOTE: robust rules (trimmed mean / median / norm-clip) and
-  /// server-side validation need the full cohort's updates at once
-  /// (per-coordinate order statistics, cohort-median norm envelopes);
-  /// those configurations fall back to gather-at-root — O(cohort × model)
-  /// server memory, flagged by FoldResult::gathered.
+  /// MEMORY NOTE: resident updates are bounded by the ring's window of
+  /// max(4 × pool workers, 8) slots (16 at 4 workers): a worker starts
+  /// slot s only while s < folded + window. Robust rules (trimmed mean /
+  /// median / norm-clip) and server-side validation need the full
+  /// cohort's updates at once (per-coordinate order statistics,
+  /// cohort-median norm envelopes); those configurations fall back to
+  /// gather-at-root — O(cohort × model) server memory, flagged by
+  /// FoldResult::gathered.
   FoldResult train_clients_folded(
       const std::vector<std::size_t>& clients, std::size_t round,
       const std::function<std::span<const float>(std::size_t)>&

@@ -5,8 +5,11 @@
 // streaming Dirichlet deal) must reproduce their dense counterparts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "algorithms/cfl.hpp"
@@ -159,6 +162,154 @@ TEST(EdgeAggregation, TreeVsFlatBitIdenticalAcrossEdgeCounts) {
               check::weights_fingerprint(flat))
         << edges << " edges diverge from flat aggregation";
   }
+}
+
+// The streaming fold over a cohort far larger than its window (4 ×
+// workers, at least 8): every worker count and edge count must fold in
+// slot order and reproduce flat train_clients + aggregate byte for byte.
+// A double accumulator over ~100 similar updates rounds to the same float
+// in almost any order, so two equal-weight clients start from ±2^40 on
+// the last coordinate: while their terms are in the accumulator, every
+// other client's term is rounded at ~2^-19, they cancel exactly, and any
+// departure from slot order shows in the float output.
+TEST(EdgeAggregation, StreamingFoldBitIdenticalAcrossWorkersAndEdges) {
+  constexpr std::size_t kClients = 120;
+  struct Variant {
+    const char* name;
+    bool int8_uploads;
+    double dropout;
+  };
+  for (const Variant& v : {Variant{"plain", false, 0.0},
+                           Variant{"int8+dropout", true, 0.2}}) {
+    std::vector<float> first_flat;
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << v.name << ", " << threads << " threads");
+      fl::FederationConfig cfg;
+      cfg.threads = threads;
+      cfg.dropout = v.dropout;
+      if (v.int8_uploads) {
+        cfg.compression.enabled = true;
+        cfg.compression.upload = compress::CodecKind::kInt8;
+      }
+      fl::Federation fed = testing::make_dirichlet_federation(
+          kClients, 50.0, 9600, 7, cfg);
+      const std::vector<float> global = fed.template_model().flat_weights();
+      // The first surviving client and the last surviving one of equal
+      // train size (hence equal coefficient) carry the cancelling pair.
+      std::size_t plus_client = kClients;
+      std::size_t minus_client = kClients;
+      for (std::size_t i = 0; i < kClients && minus_client == kClients; ++i) {
+        for (std::size_t j = kClients - 1; j > i; --j) {
+          if (fed.client_train_size(i) == fed.client_train_size(j) &&
+              !fed.client_fails(i, 1) && !fed.client_fails(j, 1)) {
+            plus_client = i;
+            minus_client = j;
+            break;
+          }
+        }
+      }
+      ASSERT_LT(minus_client, kClients);
+      std::vector<float> plus = global;
+      std::vector<float> minus = global;
+      plus.back() = 0x1p40f;
+      minus.back() = -0x1p40f;
+      const auto weights_for = [&](std::size_t c) {
+        return std::span<const float>(c == plus_client    ? plus
+                                      : c == minus_client ? minus
+                                                          : global);
+      };
+      std::vector<std::size_t> cohort(kClients);
+      for (std::size_t i = 0; i < kClients; ++i) cohort[i] = i;
+
+      const std::vector<fl::ClientUpdate> updates =
+          fed.train_clients(cohort, /*round=*/1, weights_for);
+      ASSERT_GT(updates.size(), 2 * std::max<std::size_t>(4 * threads, 8));
+      if (v.dropout > 0.0) {
+        ASSERT_LT(updates.size(), kClients);
+      }
+      std::vector<std::size_t> survivors;
+      double loss_sum = 0.0;
+      for (const fl::ClientUpdate& u : updates) {
+        survivors.push_back(u.client_id);
+        loss_sum += u.train_loss;
+      }
+      const std::vector<float> flat = fed.aggregate(updates);
+      if (first_flat.empty()) first_flat = flat;
+      ASSERT_EQ(flat.size(), first_flat.size());
+      EXPECT_EQ(std::memcmp(flat.data(), first_flat.data(),
+                            flat.size() * sizeof(float)),
+                0)
+          << "flat aggregation depends on the worker count";
+
+      for (const std::size_t edges : {1u, 3u, 8u}) {
+        const fl::Federation::FoldResult fr = fed.train_clients_folded(
+            cohort, /*round=*/1, weights_for, net::EdgeTopology{edges});
+        EXPECT_FALSE(fr.gathered);
+        EXPECT_EQ(fr.contributors, survivors) << edges << " edges";
+        EXPECT_EQ(fr.mean_train_loss,
+                  loss_sum / static_cast<double>(updates.size()))
+            << edges << " edges";
+        ASSERT_EQ(fr.weights.size(), flat.size());
+        EXPECT_EQ(std::memcmp(fr.weights.data(), flat.data(),
+                              flat.size() * sizeof(float)),
+                  0)
+            << edges << " edges diverge from flat aggregation";
+      }
+    }
+  }
+}
+
+// A runner that throws inside the streaming fold must not wedge the
+// others: the round fails with the lowest failing client — the one the
+// flat path's audit sweep names — every time, and the pool stays usable.
+TEST(EdgeAggregation, FailureInsideFoldPropagates) {
+  fl::FederationConfig cfg;
+  cfg.threads = 4;
+  cfg.audit = true;
+  cfg.faults.enabled = true;
+  cfg.faults.nan_prob = 0.05;
+  fl::Federation fed =
+      testing::make_dirichlet_federation(120, 50.0, 9600, 7, cfg);
+  const std::vector<float> global = fed.template_model().flat_weights();
+  const auto weights_for = [&](std::size_t) {
+    return std::span<const float>(global);
+  };
+  std::vector<std::size_t> cohort(fed.num_clients());
+  for (std::size_t i = 0; i < cohort.size(); ++i) cohort[i] = i;
+
+  const auto failing_client = [](const std::string& what) {
+    const std::size_t at = what.find(" client ");
+    EXPECT_NE(at, std::string::npos) << what;
+    if (at == std::string::npos) return std::string();
+    const std::size_t begin = at + 8;
+    return what.substr(begin, what.find(' ', begin) - begin);
+  };
+  std::string expected;
+  try {
+    fed.train_clients(cohort, /*round=*/1, weights_for);
+    FAIL() << "the flat path's audit sweep should reject a NaN upload";
+  } catch (const Error& e) {
+    expected = failing_client(e.what());
+  }
+  ASSERT_FALSE(expected.empty());
+
+  for (int call = 0; call < 3; ++call) {
+    try {
+      fed.train_clients_folded(cohort, /*round=*/1, weights_for,
+                               net::EdgeTopology{3});
+      FAIL() << "call " << call << ": the fold should reject a NaN upload";
+    } catch (const Error& e) {
+      EXPECT_EQ(failing_client(e.what()), expected)
+          << "call " << call << ": " << e.what();
+    }
+  }
+
+  std::vector<int> ran(64, 0);
+  fed.aggregation_pool()->parallel_for(
+      0, ran.size(), [&](std::size_t i) { ran[i] = 1; });
+  EXPECT_EQ(std::count(ran.begin(), ran.end(), 1),
+            static_cast<std::ptrdiff_t>(ran.size()));
 }
 
 TEST(EdgeAggregation, RobustRuleFallsBackToGather) {
