@@ -46,56 +46,87 @@ std::vector<double> cluster_accuracies(const fl::AccuracySummary& acc,
   return out;
 }
 
+/// One partial-report exchange — the formation round, a retry wave, or a
+/// drift re-anchor: `clients` train the warmup from the common
+/// initialization as a reliable round (full model down, partial slice
+/// up). The slice sink keeps extract_slices of each update and drops the
+/// full model on the runner that trained it.
+struct PartialReports {
+  /// Floats in one partial upload.
+  std::size_t slice_floats = 0;
+  /// Clients whose upload arrived (and passed screening), slot order.
+  std::vector<std::size_t> arrived;
+  /// One per arrived client; EMPTY when the slice is non-finite (with
+  /// validation off, corrupted uploads reach the server unscreened).
+  std::vector<std::vector<float>> partials;
+};
+
+PartialReports solicit_partials(fl::Federation& federation,
+                                const FedClustConfig& config,
+                                const std::vector<std::size_t>& clients,
+                                std::size_t round, std::size_t fault_attempt) {
+  const nn::Model& tmpl = federation.template_model();
+  const std::vector<nn::ParamSlice> slices =
+      resolve_partial_slices(tmpl, config.partial_spec);
+  const std::vector<float> init_weights = tmpl.flat_weights();
+  fl::LocalTrainConfig warmup = federation.config().local;
+  if (config.warmup_epochs > 0) warmup.epochs = config.warmup_epochs;
+  PartialReports out;
+  out.slice_floats = slices_numel(slices);
+  const fl::NetPayloads payloads{federation.model_size(), out.slice_floats,
+                                 net::MessageKind::kPartialUpdate};
+
+  // Survivors are a subsequence of `clients`, so slots index these.
+  std::vector<std::vector<float>> slot_partials(clients.size());
+  std::vector<char> got(clients.size(), 0);
+  const std::vector<std::size_t> survivors = federation.train_clients_into(
+      clients, round,
+      [&](std::size_t) { return std::span<const float>(init_weights); },
+      [&](std::size_t slot, fl::ClientUpdate&& u) {
+        std::vector<float> partial = extract_slices(u.weights, slices);
+        if (!std::all_of(partial.begin(), partial.end(),
+                         [](float x) { return std::isfinite(x); })) {
+          partial.clear();
+        }
+        slot_partials[slot] = std::move(partial);
+        got[slot] = 1;
+      },
+      &warmup, /*allow_failures=*/false, &payloads, fault_attempt);
+  for (std::size_t slot = 0; slot < survivors.size(); ++slot) {
+    if (got[slot] == 0) continue;
+    out.arrived.push_back(survivors[slot]);
+    out.partials.push_back(std::move(slot_partials[slot]));
+  }
+  return out;
+}
+
 }  // namespace
 
 ClusteringOutcome FedClust::form_clusters(fl::Federation& federation,
                                           std::size_t round) const {
-  const nn::Model& tmpl = federation.template_model();
-  const std::vector<nn::ParamSlice> slices =
-      resolve_partial_slices(tmpl, config_.partial_spec);
-  const std::vector<float> init_weights = tmpl.flat_weights();
-
-  // Warmup round: every client trains from the common initialization.
-  fl::LocalTrainConfig warmup = federation.config().local;
-  if (config_.warmup_epochs > 0) warmup.epochs = config_.warmup_epochs;
-
-  std::vector<std::size_t> everyone(federation.num_clients());
-  for (std::size_t i = 0; i < everyone.size(); ++i) everyone[i] = i;
-
   // The paper's formation round covers all available clients, so the
   // warmup is exempt from dropout injection — and under the simulated
   // network it runs as a reliable round that waits for every upload.
   // With fault injection, crashed clients still go missing even here.
-  const fl::NetPayloads payloads{federation.model_size(),
-                                 slices_numel(slices),
-                                 net::MessageKind::kPartialUpdate};
   const std::size_t n = federation.num_clients();
+  std::vector<std::size_t> everyone(n);
+  for (std::size_t i = 0; i < n; ++i) everyone[i] = i;
 
   ClusteringOutcome out;
   out.partial_weights.resize(n);
   std::vector<bool> reported(n, false);
-  const auto record = [&](const std::vector<fl::ClientUpdate>& updates) {
-    for (const fl::ClientUpdate& u : updates) {
-      std::vector<float> partial = extract_slices(u.weights, slices);
-      // With validation off, corrupted uploads reach us unscreened; a
-      // non-finite partial would poison the proximity matrix, so treat
-      // it as missing and let the retry waves ask again.
-      bool finite = true;
-      for (const float x : partial) {
-        if (!std::isfinite(x)) {
-          finite = false;
-          break;
-        }
-      }
-      if (!finite) continue;
-      out.partial_weights[u.client_id] = std::move(partial);
-      reported[u.client_id] = true;
+  std::size_t slice_floats = 0;
+  // A non-finite partial would poison the proximity matrix, so it counts
+  // as missing and the retry waves ask again.
+  const auto record = [&](PartialReports reports) {
+    slice_floats = reports.slice_floats;
+    for (std::size_t i = 0; i < reports.arrived.size(); ++i) {
+      if (reports.partials[i].empty()) continue;
+      out.partial_weights[reports.arrived[i]] = std::move(reports.partials[i]);
+      reported[reports.arrived[i]] = true;
     }
   };
-  record(federation.train_clients(
-      everyone, round,
-      [&](std::size_t) { return std::span<const float>(init_weights); },
-      &warmup, /*allow_failures=*/false, &payloads));
+  record(solicit_partials(federation, config_, everyone, round, 0));
 
   // Bounded re-solicitation of the missing uploads. Each wave carries a
   // fresh fault attempt, so a transiently crashed client can answer the
@@ -110,10 +141,7 @@ ClusteringOutcome FedClust::form_clusters(fl::Federation& federation,
     }
     if (missing.empty()) break;
     out.resolicited.push_back(missing);
-    record(federation.train_clients(
-        missing, round,
-        [&](std::size_t) { return std::span<const float>(init_weights); },
-        &warmup, /*allow_failures=*/false, &payloads, attempt));
+    record(solicit_partials(federation, config_, missing, round, attempt));
   }
 
   for (std::size_t c = 0; c < n; ++c) {
@@ -127,7 +155,7 @@ ClusteringOutcome FedClust::form_clusters(fl::Federation& federation,
   out.download_bytes =
       federation.download_wire_bytes(federation.model_size()) * solicitations;
   out.upload_bytes =
-      federation.upload_wire_bytes(slices_numel(slices)) * out.reporters.size();
+      federation.upload_wire_bytes(slice_floats) * out.reporters.size();
 
   // Quorum gate: clustering over a sliver of the population would bake
   // an unrepresentative partition in for the whole run.
@@ -510,37 +538,21 @@ std::size_t FedClust::recover_clusters(
     return 0;
   }
 
-  const nn::Model& tmpl = federation.template_model();
-  const std::vector<nn::ParamSlice> slices =
-      resolve_partial_slices(tmpl, config_.partial_spec);
-  const std::vector<float> init_weights = tmpl.flat_weights();
-  fl::LocalTrainConfig warmup = federation.config().local;
-  if (config_.warmup_epochs > 0) warmup.epochs = config_.warmup_epochs;
-  const fl::NetPayloads payloads{federation.model_size(),
-                                 slices_numel(slices),
-                                 net::MessageKind::kPartialUpdate};
   // fault_attempt 64 keeps the re-anchor fault draws independent of the
   // round's training draws and of any formation retry wave (0..retries).
-  const std::vector<fl::ClientUpdate> updates = federation.train_clients(
-      members, round,
-      [&](std::size_t) { return std::span<const float>(init_weights); },
-      &warmup, /*allow_failures=*/false, &payloads, /*fault_attempt=*/64);
+  PartialReports reports =
+      solicit_partials(federation, config_, members, round, 64);
   for (const std::size_t c : members) {
     federation.meter_download(c, federation.model_size());
   }
-  for (const fl::ClientUpdate& u : updates) {
-    federation.meter_upload(u.client_id, slices_numel(slices));
-    std::vector<float> partial = extract_slices(u.weights, slices);
-    bool finite = true;
-    for (const float x : partial) {
-      if (!std::isfinite(x)) {
-        finite = false;
-        break;
-      }
-    }
+  for (std::size_t i = 0; i < reports.arrived.size(); ++i) {
+    federation.meter_upload(reports.arrived[i], reports.slice_floats);
     // A non-finite (corrupted) re-anchor keeps the stored one — worse
     // than fresh but never poisonous.
-    if (finite) outcome.partial_weights[u.client_id] = std::move(partial);
+    if (!reports.partials[i].empty()) {
+      outcome.partial_weights[reports.arrived[i]] =
+          std::move(reports.partials[i]);
+    }
   }
 
   cluster::ReclusterConfig rc;

@@ -496,25 +496,15 @@ class BufferedScheduler {
     buffers_[cluster].clear();
 
     // Lazy training: the timeline never depended on these weights, so
-    // the flush trains its buffer here, in arrival order, with
-    // slot-ordered writes — bit-identical for any executor width.
-    std::vector<ClientUpdate> updates(batch.size());
-    ThreadPool* pool = fed_.aggregation_pool();
-    const std::size_t width =
-        cfg_.concurrency == 0 ? batch.size() : cfg_.concurrency;
-    for (std::size_t begin = 0; begin < batch.size(); begin += width) {
-      const std::size_t end = std::min(batch.size(), begin + width);
-      pool->parallel_for(begin, end, [&](std::size_t i) {
-        updates[i] = fed_.train_dispatch(
-            batch[i].client, batch[i].seq,
-            std::span<const float>(*batch[i].start), local_);
-      });
+    // the flush trains its buffer here, with slot-ordered writes —
+    // bit-identical for any executor width.
+    std::vector<Federation::TrainJob> jobs;
+    jobs.reserve(batch.size());
+    for (const Dispatch& d : batch) {
+      jobs.push_back(Federation::TrainJob{d.client, d.seq, *d.start});
     }
-    std::vector<std::span<const float>> starts;
-    starts.reserve(batch.size());
-    for (const Dispatch& d : batch) starts.emplace_back(*d.start);
     Federation::ScreenedBatch screened =
-        fed_.transport_and_screen(std::move(updates), starts);
+        fed_.train_dispatched(std::move(jobs), local_);
 
     // Staleness-weighted mixing coefficients over the survivors:
     // c_i ∝ num_samples_i x λ(s_i), normalized. At unit staleness this

@@ -19,9 +19,8 @@
 // times, flush boundaries) depends only on (seed, dispatch seq, client,
 // attempt) draws and payload sizes — never on trained weights — so the
 // scheduler simulates each op's complete network fate at dispatch time
-// and trains lazily at flush time, in buffer (arrival) order, with
-// slot-ordered writes. Thread counts, kernel threads, and the
-// `concurrency` cap only change how the flush's training work is
+// and trains lazily at flush time, with slot-ordered writes. Thread
+// counts and kernel threads only change how the flush's training work is
 // executed, not what is computed: trajectories are bit-identical across
 // all of them (the same argument the synchronous engine makes, applied
 // per flush instead of per round).
@@ -78,10 +77,6 @@ struct AsyncConfig {
   /// outstanding dispatch at once (FedBuff's Mc). 0 = the whole fleet.
   /// SEMANTIC knob — it changes the event timeline and the trajectory.
   std::size_t inflight = 0;
-  /// Server-side training-executor width per flush: how many buffered
-  /// updates train at once when the flush materializes them. 0 = all.
-  /// EXECUTION knob — trajectories are bit-identical across settings.
-  std::size_t concurrency = 0;
   /// Server-side learning-rate decay on staleness spikes: when a flush's
   /// kept updates have mean staleness > lr_decay_staleness, the mixed
   /// model only moves `lr_decay` of the way from the current cluster

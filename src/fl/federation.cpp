@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <condition_variable>
+#include <exception>
 #include <future>
 #include <limits>
 #include <mutex>
@@ -45,63 +46,13 @@ void chunked_reduce(std::size_t dim, ThreadPool* pool,
   for (auto& f : futures) f.get();
 }
 
-/// decode(encode(·)) view of every distinct broadcast span the round's
-/// survivors start from — the weights the clients actually receive under
-/// the download codec (encoded with an empty reference: a broadcast
-/// carries absolute weights, not a delta against client state). Returns
-/// `start_for` unchanged when no codec applies, so the compression-off
-/// path is untouched. The cache is keyed by span data pointer — each
-/// distinct cluster/global model is round-tripped exactly once per call.
-std::function<std::span<const float>(std::size_t)> downloaded_starts(
-    const compress::UpdateCodec* down, std::span<const std::size_t> layout,
-    std::size_t model_size, const std::vector<std::size_t>& survivors,
-    std::function<std::span<const float>(std::size_t)> start_for) {
-  if (down == nullptr) return start_for;
-  auto keys = std::make_shared<std::vector<const float*>>();
-  auto vals = std::make_shared<std::vector<std::vector<float>>>();
-  for (const std::size_t cid : survivors) {
-    const std::span<const float> s = start_for(cid);
-    FEDCLUST_CHECK(s.size() == model_size,
-                   "download codec expects whole-model broadcasts, got "
-                       << s.size() << " floats");
-    bool seen = false;
-    for (const float* k : *keys) seen = seen || k == s.data();
-    if (seen) continue;
-    keys->push_back(s.data());
-    std::vector<float> rt(s.size());
-    compress::roundtrip(*down, s, {}, layout, rt);
-    vals->push_back(std::move(rt));
-  }
-  return [keys, vals, start_for = std::move(start_for)](
-             std::size_t cid) -> std::span<const float> {
-    const std::span<const float> s = start_for(cid);
-    for (std::size_t i = 0; i < keys->size(); ++i) {
-      if ((*keys)[i] == s.data()) return (*vals)[i];
-    }
-    FEDCLUST_FAIL("client start span was not pre-decoded");
-  };
-}
-
-/// Runs train(slot) for every slot of `clients` on `pool`, claiming the
-/// longest train shards first (ties by slot): Dir(α) shard sizes are
-/// uneven, and starting the long clients early keeps the tail short.
-/// Results are slot-indexed, so the dispatch order never reaches the
-/// aggregation order.
-void train_longest_first(ThreadPool& pool, const ClientSource& source,
-                         std::span<const std::size_t> clients,
-                         const std::function<void(std::size_t)>& train) {
-  std::vector<std::size_t> sizes(clients.size());
-  for (std::size_t k = 0; k < clients.size(); ++k) {
-    sizes[k] = source.train_size(clients[k]);
-  }
-  std::vector<std::size_t> order(clients.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return sizes[a] > sizes[b];
-                   });
-  pool.parallel_for(0, order.size(),
-                    [&](std::size_t k) { train(order[k]); });
+/// The audit sweep every update passes before an aggregator sees it.
+void audit_update(const ClientUpdate& u, std::size_t round) {
+  const std::string context = "round " + std::to_string(round) + " client " +
+                              std::to_string(u.client_id) + " update weights";
+  check::assert_all_finite(u.weights, context.c_str());
+  FEDCLUST_CHECK(std::isfinite(u.train_loss),
+                 context << ": non-finite train loss " << u.train_loss);
 }
 
 }  // namespace
@@ -425,21 +376,79 @@ std::vector<std::size_t> Federation::round_survivors(
   return survivors;
 }
 
-ClientUpdate Federation::train_one(
-    std::size_t cid, std::size_t round,
+Federation::Cohort Federation::solicit(
+    const std::vector<std::size_t>& clients, std::size_t round,
     const std::function<std::span<const float>(std::size_t)>&
         start_weights_for,
-    const LocalTrainConfig& local, std::size_t fault_attempt) const {
+    const LocalTrainConfig* config_override, bool allow_failures,
+    const NetPayloads* net_payloads, std::size_t fault_attempt) {
+  Cohort cohort;
+  cohort.local = config_override != nullptr ? *config_override : config_.local;
+  if (config_.audit) cohort.local.audit = true;
+  cohort.fault_attempt = fault_attempt;
+
+  // Every training round advances the drift clock (monotone no-op once
+  // a driver already advanced it for newcomer admission).
+  drift_advance(round);
+
+  const std::vector<std::size_t> survivors = round_survivors(
+      clients, round, cohort.local, allow_failures, net_payloads,
+      fault_attempt);
+
+  // Codec transport applies only to whole-model transfers this round
+  // actually makes: the download leg when the broadcast is one or more
+  // full models, the upload leg when the update payload is the full model
+  // (sub-model side channels like FedClust's formation slice ship raw).
+  NetPayloads payloads{model_size_, model_size_,
+                       net::MessageKind::kModelUpdate};
+  if (net_payloads != nullptr) payloads = *net_payloads;
+  cohort.transport =
+      up_codec_ != nullptr && payloads.upload_floats == model_size_;
+  cohort.meter_rejected_floats = payloads.upload_floats;
+
+  std::vector<TrainJob>& jobs = cohort.jobs;
+  jobs.reserve(survivors.size());
+  for (const std::size_t cid : survivors) {
+    jobs.push_back(TrainJob{cid, round, start_weights_for(cid)});
+  }
+  if (down_codec_ != nullptr && codec_applies(payloads.download_floats)) {
+    // Clients train from decode(encode(broadcast)), encoded with an empty
+    // reference (a broadcast carries absolute weights, not a delta).
+    // Keyed by span data pointer: each distinct cluster/global model is
+    // round-tripped once per cohort.
+    // (A decoded model's buffer stays put when `decoded` grows.)
+    std::vector<const float*> keys;
+    for (TrainJob& job : jobs) {
+      FEDCLUST_CHECK(job.start.size() == model_size_,
+                     "download codec expects whole-model broadcasts, got "
+                         << job.start.size() << " floats");
+      const auto it = std::find(keys.begin(), keys.end(), job.start.data());
+      const auto k = static_cast<std::size_t>(it - keys.begin());
+      if (it == keys.end()) {
+        keys.push_back(job.start.data());
+        compress::roundtrip(*down_codec_, job.start, {}, layout_,
+                            cohort.decoded.emplace_back(model_size_));
+      }
+      job.start = cohort.decoded[k];
+    }
+  }
+  return cohort;
+}
+
+ClientUpdate Federation::train_one(const TrainJob& job,
+                                   const LocalTrainConfig& local,
+                                   std::size_t fault_attempt) const {
+  const std::size_t cid = job.client;
   FEDCLUST_REQUIRE(cid < source_->num_clients(), "client id out of range");
   const robust::FaultKind kind =
-      config_.faults.enabled ? fault_plan_.decide(round, cid, fault_attempt)
+      config_.faults.enabled ? fault_plan_.decide(job.round, cid, fault_attempt)
                              : robust::FaultKind::kNone;
   // A stale replay trains from the run's initial weights — the client
   // never saw (or ignored) the current broadcast.
   const std::span<const float> start =
       kind == robust::FaultKind::kStaleReplay
           ? std::span<const float>(initial_weights_)
-          : start_weights_for(cid);
+          : job.start;
   // Materialize the shard for exactly the duration of this client's
   // local work; the shared_ptr keeps it alive under cache eviction.
   const std::shared_ptr<const ClientData> data = source_->get(cid);
@@ -447,92 +456,142 @@ ClientUpdate Federation::train_one(
   nn::Model& model = *lease;
   model.set_flat_weights(start);
   const float loss =
-      train_local(model, data->train, local, client_rng(cid, round));
+      train_local(model, data->train, local, client_rng(cid, job.round));
   std::vector<float> weights = model.flat_weights();
   robust::apply_payload_fault(kind, config_.faults, start, weights,
-                              fault_plan_.payload_rng(round, cid));
+                              fault_plan_.payload_rng(job.round, cid));
   return ClientUpdate{cid, std::move(weights), data->train.size(), loss};
 }
 
-ClientUpdate Federation::train_dispatch(
-    std::size_t client, std::size_t dispatch, std::span<const float> start,
-    const LocalTrainConfig* config_override) const {
-  LocalTrainConfig local =
-      config_override != nullptr ? *config_override : config_.local;
-  if (config_.audit) local.audit = true;
-  return train_one(
-      client, dispatch,
-      [start](std::size_t) { return start; }, local, /*fault_attempt=*/0);
+void Federation::run_stage(const Cohort& cohort, bool longest_first,
+                           const Sink& sink) {
+  const std::size_t n = cohort.jobs.size();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (longest_first) {
+    // Dir(α) shard sizes are uneven, and starting the long clients early
+    // keeps the tail short (ties by slot).
+    std::vector<std::size_t> sizes(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      sizes[k] = source_->train_size(cohort.jobs[k].client);
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return sizes[a] > sizes[b];
+                     });
+  }
+  const bool screened = config_.robust.validate.enabled;
+  std::mutex mutex;
+  std::size_t first_failure = n;
+  std::exception_ptr error;
+  pool_.parallel_for(0, n, [&](std::size_t k) {
+    const std::size_t slot = order[k];
+    try {
+      if (sink.admit) sink.admit(slot);
+      const TrainJob& job = cohort.jobs[slot];
+      ClientUpdate u = train_one(job, cohort.local, cohort.fault_attempt);
+      // Without server-side screening the upload leg happens right here:
+      // the aggregator only ever sees decode(encode(update)), audited.
+      // With screening on, screen() runs both over the gathered cohort.
+      if (!screened) {
+        if (cohort.transport) {
+          std::vector<float> rt(u.weights.size());
+          compress::roundtrip(*up_codec_, u.weights, job.start, layout_, rt);
+          u.weights = std::move(rt);
+        }
+        if (config_.audit) audit_update(u, job.round);
+      }
+      sink.take(slot, std::move(u));
+    } catch (...) {
+      {
+        std::lock_guard lock(mutex);
+        if (slot < first_failure) {
+          first_failure = slot;
+          error = std::current_exception();
+        }
+      }
+      if (sink.failed) sink.failed(slot);
+    }
+  });
+  if (error) std::rethrow_exception(error);
 }
 
-Federation::ScreenedBatch Federation::transport_and_screen(
-    std::vector<ClientUpdate> updates,
-    const std::vector<std::span<const float>>& starts) {
-  FEDCLUST_REQUIRE(updates.size() == starts.size(),
-                   "one broadcast reference per update");
-  ScreenedBatch out;
-  out.accepted.assign(updates.size(), 1);
+std::vector<ClientUpdate> Federation::gather(const Cohort& cohort) {
+  std::vector<ClientUpdate> updates(cohort.jobs.size());
+  run_stage(cohort, /*longest_first=*/true,
+            {.take = [&](std::size_t slot, ClientUpdate&& u) {
+              updates[slot] = std::move(u);
+            }});
+  return updates;
+}
 
-  if (up_codec_ != nullptr && !config_.robust.validate.enabled) {
-    // Same transport as the synchronous path: the aggregator only ever
-    // sees decode(encode(update)) against the broadcast it came from.
-    pool_.parallel_for(0, updates.size(), [&](std::size_t i) {
-      FEDCLUST_REQUIRE(updates[i].weights.size() == model_size_,
-                       "async transport expects whole-model updates");
-      std::vector<float> rt(updates[i].weights.size());
-      compress::roundtrip(*up_codec_, updates[i].weights, starts[i], layout_,
-                          rt);
-      updates[i].weights = std::move(rt);
+std::vector<std::uint8_t> Federation::screen(
+    const Cohort& cohort, std::vector<ClientUpdate>& updates) {
+  const std::size_t n = updates.size();
+  std::vector<std::uint8_t> accepted(n, 1);
+  if (n == 0 || !config_.robust.validate.enabled) return accepted;
+  // Every update is validated against the weights the server actually
+  // served its client.
+  std::vector<std::span<const float>> starts;
+  std::vector<std::span<const float>> payloads;
+  std::vector<std::size_t> ids;
+  for (std::size_t i = 0; i < n; ++i) {
+    starts.push_back(cohort.jobs[i].start);
+    payloads.emplace_back(updates[i].weights);
+    ids.push_back(updates[i].client_id);
+  }
+  std::vector<robust::Verdict> verdicts;
+  std::vector<std::vector<float>> decoded;
+  if (cohort.transport) {
+    // Decode-then-screen: each client's frame is validated against the
+    // codec envelope first (failures strike as kCodecEnvelope), then the
+    // decoded floats run the unchanged shape/finite/norm pipeline.
+    std::vector<std::vector<std::uint8_t>> frames(n);
+    pool_.parallel_for(0, n, [&](std::size_t i) {
+      frames[i] = up_codec_->encode(updates[i].weights, starts[i], layout_);
     });
-  } else if (config_.robust.validate.enabled && !updates.empty()) {
-    std::vector<std::size_t> ids;
-    ids.reserve(updates.size());
-    for (const ClientUpdate& u : updates) ids.push_back(u.client_id);
-    std::vector<robust::Verdict> verdicts;
-    if (up_codec_ != nullptr) {
-      std::vector<std::vector<std::uint8_t>> frames(updates.size());
-      pool_.parallel_for(0, updates.size(), [&](std::size_t i) {
-        frames[i] = up_codec_->encode(updates[i].weights, starts[i], layout_);
-      });
-      std::vector<std::span<const std::uint8_t>> frame_spans;
-      frame_spans.reserve(frames.size());
-      for (const auto& f : frames) frame_spans.emplace_back(f);
-      std::vector<std::vector<float>> decoded;
-      verdicts = robust::screen_encoded_updates(
-          frame_spans, starts, ids, model_size_, *up_codec_, layout_,
-          config_.robust.validate, &decoded);
-      for (std::size_t i = 0; i < updates.size(); ++i) {
-        if (verdicts[i].accepted()) updates[i].weights = std::move(decoded[i]);
-      }
-    } else {
-      std::vector<std::span<const float>> payload_spans;
-      payload_spans.reserve(updates.size());
-      for (const ClientUpdate& u : updates) {
-        payload_spans.emplace_back(u.weights);
-      }
-      verdicts = robust::screen_updates(payload_spans, starts, ids,
-                                        model_size_, config_.robust.validate);
-    }
-    for (std::size_t i = 0; i < updates.size(); ++i) {
-      if (!verdicts[i].accepted()) {
-        out.accepted[i] = 0;
-        quarantine_.strike(verdicts[i].client);
-      }
-    }
+    const std::vector<std::span<const std::uint8_t>> frame_spans(
+        frames.begin(), frames.end());
+    verdicts = robust::screen_encoded_updates(
+        frame_spans, starts, ids, model_size_, *up_codec_, layout_,
+        config_.robust.validate, &decoded);
+  } else {
+    verdicts = robust::screen_updates(payloads, starts, ids, model_size_,
+                                      config_.robust.validate);
   }
-
+  for (std::size_t i = 0; i < n; ++i) {
+    if (verdicts[i].accepted()) {
+      // The aggregator keeps what survived the wire, not the raw client
+      // weights.
+      if (cohort.transport) updates[i].weights = std::move(decoded[i]);
+      continue;
+    }
+    accepted[i] = 0;
+    // The rejected bytes did cross the wire (skipped when the caller
+    // opened no metering round, e.g. direct train_clients tests).
+    if (cohort.meter_rejected_floats > 0 && comm_.round_count() > 0) {
+      meter_upload(verdicts[i].client, cohort.meter_rejected_floats);
+    }
+    quarantine_.strike(verdicts[i].client);
+  }
   if (config_.audit) {
-    for (std::size_t i = 0; i < updates.size(); ++i) {
-      if (out.accepted[i] == 0) continue;
-      const std::string context = "dispatch update of client " +
-                                  std::to_string(updates[i].client_id);
-      check::assert_all_finite(updates[i].weights, context.c_str());
-      FEDCLUST_CHECK(std::isfinite(updates[i].train_loss),
-                     context << ": non-finite train loss "
-                             << updates[i].train_loss);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (accepted[i] != 0) audit_update(updates[i], cohort.jobs[i].round);
     }
   }
-  out.updates = std::move(updates);
+  return accepted;
+}
+
+Federation::ScreenedBatch Federation::train_dispatched(
+    std::vector<TrainJob> jobs, const LocalTrainConfig* config_override) {
+  Cohort cohort;
+  cohort.jobs = std::move(jobs);
+  cohort.local = config_override != nullptr ? *config_override : config_.local;
+  if (config_.audit) cohort.local.audit = true;
+  cohort.transport = up_codec_ != nullptr;
+  ScreenedBatch out;
+  out.updates = gather(cohort);
+  out.accepted = screen(cohort, out.updates);
   return out;
 }
 
@@ -542,125 +601,44 @@ std::vector<ClientUpdate> Federation::train_clients(
         start_weights_for,
     const LocalTrainConfig* config_override, bool allow_failures,
     const NetPayloads* net_payloads, std::size_t fault_attempt) {
-  LocalTrainConfig local =
-      config_override != nullptr ? *config_override : config_.local;
-  if (config_.audit) local.audit = true;
-
-  // Every training round advances the drift clock (monotone no-op once
-  // a driver already advanced it for newcomer admission).
-  drift_advance(round);
-
-  const std::vector<std::size_t> survivors = round_survivors(
-      clients, round, local, allow_failures, net_payloads, fault_attempt);
-
-  // Codec transport applies only to whole-model transfers this round
-  // actually makes: the download leg when the broadcast is one or more
-  // full models (every client then trains from decode(encode(server
-  // weights))), the upload leg when the update payload is the full model
-  // (sub-model side channels like FedClust's formation slice ship raw).
-  NetPayloads payloads{model_size_, model_size_,
-                       net::MessageKind::kModelUpdate};
-  if (net_payloads != nullptr) payloads = *net_payloads;
-  const compress::UpdateCodec* down =
-      down_codec_ != nullptr && codec_applies(payloads.download_floats)
-          ? down_codec_.get()
-          : nullptr;
-  const bool transport_uploads =
-      up_codec_ != nullptr && payloads.upload_floats == model_size_;
-  const std::function<std::span<const float>(std::size_t)> effective_start =
-      downloaded_starts(down, layout_, model_size_, survivors,
-                        start_weights_for);
-
-  std::vector<ClientUpdate> updates(survivors.size());
-  train_longest_first(pool_, *source_, survivors, [&](std::size_t slot) {
-    ClientUpdate u = train_one(survivors[slot], round, effective_start, local,
-                               fault_attempt);
-    // Without server-side screening the upload transport is simulated
-    // right here: the aggregator only ever sees decode(encode(update)).
-    // (With screening on, the encoded frames go through the codec
-    // envelope + decode-then-screen pipeline below instead.)
-    if (transport_uploads && !config_.robust.validate.enabled) {
-      std::vector<float> rt(u.weights.size());
-      compress::roundtrip(*up_codec_, u.weights,
-                          effective_start(u.client_id), layout_, rt);
-      u.weights = std::move(rt);
-    }
-    updates[slot] = std::move(u);
-  });
-
-  // Server-side screening: every arrived update is validated against the
-  // weights the server actually served this client. Rejections are
-  // metered (the bytes did cross the wire), charged as strikes, and
-  // dropped from the result.
-  if (config_.robust.validate.enabled && !updates.empty()) {
-    std::vector<std::span<const float>> start_spans;
-    std::vector<std::size_t> ids;
-    start_spans.reserve(updates.size());
-    ids.reserve(updates.size());
-    for (const ClientUpdate& u : updates) {
-      start_spans.push_back(effective_start(u.client_id));
-      ids.push_back(u.client_id);
-    }
-    std::vector<robust::Verdict> verdicts;
-    std::vector<std::vector<float>> decoded;
-    if (transport_uploads) {
-      // Decode-then-screen: each client's frame is validated against the
-      // codec envelope first (failures strike as kCodecEnvelope), then
-      // the decoded floats run the unchanged shape/finite/norm pipeline.
-      std::vector<std::vector<std::uint8_t>> frames(updates.size());
-      pool_.parallel_for(0, updates.size(), [&](std::size_t i) {
-        frames[i] = up_codec_->encode(updates[i].weights, start_spans[i],
-                                      layout_);
-      });
-      std::vector<std::span<const std::uint8_t>> frame_spans;
-      frame_spans.reserve(frames.size());
-      for (const auto& f : frames) frame_spans.emplace_back(f);
-      verdicts = robust::screen_encoded_updates(
-          frame_spans, start_spans, ids, model_size_, *up_codec_, layout_,
-          config_.robust.validate, &decoded);
-    } else {
-      std::vector<std::span<const float>> payload_spans;
-      payload_spans.reserve(updates.size());
-      for (const ClientUpdate& u : updates) payload_spans.emplace_back(u.weights);
-      verdicts = robust::screen_updates(payload_spans, start_spans, ids,
-                                        model_size_, config_.robust.validate);
-    }
-    std::vector<ClientUpdate> kept;
-    kept.reserve(updates.size());
-    for (std::size_t i = 0; i < updates.size(); ++i) {
-      if (verdicts[i].accepted()) {
-        if (transport_uploads) {
-          // The aggregator keeps what survived the wire, not the raw
-          // client weights.
-          updates[i].weights = std::move(decoded[i]);
-        }
-        kept.push_back(std::move(updates[i]));
-      } else {
-        // The rejected bytes did cross the wire; meter them here since
-        // the caller never sees the update (skipped when the caller
-        // opened no metering round, e.g. direct train_clients tests).
-        if (payloads.upload_floats > 0 && comm_.round_count() > 0) {
-          meter_upload(verdicts[i].client, payloads.upload_floats);
-        }
-        quarantine_.strike(verdicts[i].client);
-      }
-    }
-    updates = std::move(kept);
+  const Cohort cohort =
+      solicit(clients, round, start_weights_for, config_override,
+              allow_failures, net_payloads, fault_attempt);
+  std::vector<ClientUpdate> updates = gather(cohort);
+  if (!config_.robust.validate.enabled) return updates;
+  const std::vector<std::uint8_t> accepted = screen(cohort, updates);
+  std::vector<ClientUpdate> kept;
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    if (accepted[i] != 0) kept.push_back(std::move(updates[i]));
   }
+  return kept;
+}
 
-  if (config_.audit) {
-    // Sweep after the pool joins so a violation throws on the caller's
-    // thread with a precise attribution.
-    for (const ClientUpdate& u : updates) {
-      const std::string context = "round " + std::to_string(round) +
-                                  " client " + std::to_string(u.client_id) +
-                                  " update weights";
-      check::assert_all_finite(u.weights, context.c_str());
-      FEDCLUST_CHECK(std::isfinite(u.train_loss),
-                     context << ": non-finite train loss " << u.train_loss);
+std::vector<std::size_t> Federation::train_clients_into(
+    const std::vector<std::size_t>& clients, std::size_t round,
+    const std::function<std::span<const float>(std::size_t)>&
+        start_weights_for,
+    const UpdateSink& sink, const LocalTrainConfig* config_override,
+    bool allow_failures, const NetPayloads* net_payloads,
+    std::size_t fault_attempt) {
+  const Cohort cohort =
+      solicit(clients, round, start_weights_for, config_override,
+              allow_failures, net_payloads, fault_attempt);
+  if (!config_.robust.validate.enabled) {
+    run_stage(cohort, /*longest_first=*/true, {.take = sink});
+  } else {
+    // Screening needs the whole cohort at once (cohort-median norm
+    // envelopes).
+    std::vector<ClientUpdate> updates = gather(cohort);
+    const std::vector<std::uint8_t> accepted = screen(cohort, updates);
+    for (std::size_t slot = 0; slot < updates.size(); ++slot) {
+      if (accepted[slot] != 0) sink(slot, std::move(updates[slot]));
     }
   }
-  return updates;
+  std::vector<std::size_t> survivors;
+  survivors.reserve(cohort.jobs.size());
+  for (const TrainJob& job : cohort.jobs) survivors.push_back(job.client);
+  return survivors;
 }
 
 Federation::FoldResult Federation::train_clients_folded(
@@ -691,34 +669,13 @@ Federation::FoldResult Federation::train_clients_folded(
     return out;
   }
 
-  LocalTrainConfig local =
-      config_override != nullptr ? *config_override : config_.local;
-  if (config_.audit) local.audit = true;
-
-  drift_advance(round);
-
-  const std::vector<std::size_t> survivors =
-      round_survivors(clients, round, local, /*allow_failures=*/true,
-                      net_payloads, /*fault_attempt=*/0);
-  out.contributors = survivors;
-  if (survivors.empty()) return out;
-  const std::size_t cohort = survivors.size();
-
-  // Same codec transport gates as train_clients; the upload round trip
-  // happens inside the batch lambda so the fold only ever accumulates
-  // what survived the wire.
-  NetPayloads payloads{model_size_, model_size_,
-                       net::MessageKind::kModelUpdate};
-  if (net_payloads != nullptr) payloads = *net_payloads;
-  const compress::UpdateCodec* down =
-      down_codec_ != nullptr && codec_applies(payloads.download_floats)
-          ? down_codec_.get()
-          : nullptr;
-  const bool transport_uploads =
-      up_codec_ != nullptr && payloads.upload_floats == model_size_;
-  const std::function<std::span<const float>(std::size_t)> effective_start =
-      downloaded_starts(down, layout_, model_size_, survivors,
-                        start_weights_for);
+  const Cohort stage =
+      solicit(clients, round, start_weights_for, config_override,
+              /*allow_failures=*/true, net_payloads, /*fault_attempt=*/0);
+  const std::size_t cohort = stage.jobs.size();
+  out.contributors.reserve(cohort);
+  for (const TrainJob& job : stage.jobs) out.contributors.push_back(job.client);
+  if (cohort == 0) return out;
 
   // FedAvg coefficients over the WHOLE cohort, from the cheap train_size
   // metadata — value-identical to aggregation_coefficients over the flat
@@ -726,28 +683,24 @@ Federation::FoldResult Federation::train_clients_folded(
   std::vector<double> coeff(cohort);
   double total = 0.0;
   for (std::size_t i = 0; i < cohort; ++i) {
-    const std::size_t n = source_->train_size(survivors[i]);
-    FEDCLUST_REQUIRE(n > 0, "update with zero samples");
-    total += static_cast<double>(n);
+    coeff[i] = static_cast<double>(source_->train_size(out.contributors[i]));
+    FEDCLUST_REQUIRE(coeff[i] > 0.0, "update with zero samples");
+    total += coeff[i];
   }
-  for (std::size_t i = 0; i < cohort; ++i) {
-    coeff[i] =
-        static_cast<double>(source_->train_size(survivors[i])) / total;
-  }
+  for (double& c : coeff) c /= total;
 
-  // One streaming pass folds every update into ONE shared double
-  // accumulator in ascending slot order — the edge tree's fold order,
-  // since edges own contiguous ascending slot ranges. A runner starts
-  // slot s only while s < folded + window, so resident updates are
-  // O(window × model); whichever runner finishes a slot while nobody
-  // else is folding folds every contiguous ready slot. Per element, the
-  // fold executes the exact operation sequence of the one-shot
-  // weighted_accumulate kernel (fold boundaries only park the
-  // accumulator in memory, and a full-range call equals the
-  // kChunkAlign-chunked one), so ANY edge count and ANY worker count
-  // reproduce flat aggregation bit-for-bit. The fold runs inside a pool_
-  // runner and must never submit to pool_: runners blocked on the window
-  // would never pick the work up.
+  // The fold sink folds every update into ONE shared double accumulator
+  // in ascending slot order — the edge tree's fold order, since edges own
+  // contiguous ascending slot ranges. A runner starts slot s only while
+  // s < folded + window, so resident updates are O(window × model);
+  // whichever runner finishes a slot while nobody else is folding folds
+  // every contiguous ready slot. Per element, the fold executes the exact
+  // operation sequence of the one-shot weighted_accumulate kernel (fold
+  // boundaries only park the accumulator in memory, and a full-range call
+  // equals the kChunkAlign-chunked one), so ANY edge count and ANY worker
+  // count reproduce flat aggregation bit-for-bit. The fold runs inside a
+  // pool_ runner and must never submit to pool_: runners blocked on the
+  // window would never pick the work up.
   topology.clamped_edges(cohort);  // validates num_edges
   const std::size_t window = std::max<std::size_t>(4 * pool_.size(), 8);
   std::vector<ClientUpdate> ring(window);
@@ -763,77 +716,60 @@ Federation::FoldResult Federation::train_clients_folded(
   // Lowest slot whose runner threw; cohort while none has.
   std::size_t first_failure = cohort;
 
-  pool_.parallel_for(0, cohort, [&](std::size_t s) {
-    {
-      std::unique_lock lock(mutex);
-      advanced.wait(lock, [&] {
-        return s < folded + window || first_failure < cohort;
-      });
-      // Slots are claimed in ascending order and a started slot lies
-      // inside the window, so every slot below a failure has started and
-      // runs to completion: the lowest failing slot overall is the one
-      // parallel_for rethrows. Slots above it are abandoned.
-      FEDCLUST_CHECK(s < first_failure,
-                     "fold abandoned slot " << s << " after slot "
-                                            << first_failure << " failed");
-    }
-    try {
-      ClientUpdate u = train_one(survivors[s], round, effective_start, local,
-                                 /*fault_attempt=*/0);
-      if (transport_uploads) {
-        std::vector<float> rt(u.weights.size());
-        compress::roundtrip(*up_codec_, u.weights,
-                            effective_start(u.client_id), layout_, rt);
-        u.weights = std::move(rt);
+  const auto admit = [&](std::size_t s) {
+    std::unique_lock lock(mutex);
+    advanced.wait(lock, [&] {
+      return s < folded + window || first_failure < cohort;
+    });
+    // Slots are claimed in ascending order and a started slot lies
+    // inside the window, so every slot below a failure has started and
+    // runs to completion. Slots above it are abandoned.
+    FEDCLUST_CHECK(s < first_failure, "fold abandoned slot "
+                                          << s << " after slot "
+                                          << first_failure << " failed");
+  };
+  const auto take = [&](std::size_t s, ClientUpdate&& u) {
+    std::unique_lock lock(mutex);
+    ring[s % window] = std::move(u);
+    ready[s % window] = 1;
+    if (folding) return;  // the active folder will pick this slot up
+    folding = true;
+    while (folded < cohort && ready[folded % window] != 0) {
+      const std::size_t base = folded;
+      std::size_t k = 0;
+      while (k < window && base + k < cohort &&
+             ready[(base + k) % window] != 0) {
+        ++k;
       }
-      if (config_.audit) {
-        const std::string context = "round " + std::to_string(round) +
-                                    " client " + std::to_string(u.client_id) +
-                                    " update weights";
-        check::assert_all_finite(u.weights, context.c_str());
-        FEDCLUST_CHECK(std::isfinite(u.train_loss),
-                       context << ": non-finite train loss " << u.train_loss);
+      // Entries [base, base + k) are the folder's alone until `folded`
+      // advances: runners only write slots that are not ready yet.
+      lock.unlock();
+      for (std::size_t j = 0; j < k; ++j) {
+        const ClientUpdate& ready_update = ring[(base + j) % window];
+        srcs[j] = ready_update.weights.data();
+        loss_sum += ready_update.train_loss;
       }
-      std::unique_lock lock(mutex);
-      ring[s % window] = std::move(u);
-      ready[s % window] = 1;
-      if (folding) return;  // the active folder will pick this slot up
-      folding = true;
-      while (folded < cohort && ready[folded % window] != 0) {
-        const std::size_t base = folded;
-        std::size_t k = 0;
-        while (k < window && base + k < cohort &&
-               ready[(base + k) % window] != 0) {
-          ++k;
-        }
-        // Entries [base, base + k) are the folder's alone until `folded`
-        // advances: runners only write slots that are not ready yet.
-        lock.unlock();
-        for (std::size_t j = 0; j < k; ++j) {
-          const ClientUpdate& ready_update = ring[(base + j) % window];
-          srcs[j] = ready_update.weights.data();
-          loss_sum += ready_update.train_loss;
-        }
-        kp->weighted_accumulate_partial(srcs.data(), coeff.data() + base, k,
-                                        acc.data(), 0, model_size_);
-        for (std::size_t j = 0; j < k; ++j) {
-          ring[(base + j) % window] = ClientUpdate{};
-        }
-        lock.lock();
-        for (std::size_t j = 0; j < k; ++j) ready[(base + j) % window] = 0;
-        folded = base + k;
-        advanced.notify_all();
+      kp->weighted_accumulate_partial(srcs.data(), coeff.data() + base, k,
+                                      acc.data(), 0, model_size_);
+      for (std::size_t j = 0; j < k; ++j) {
+        ring[(base + j) % window] = ClientUpdate{};
       }
-      folding = false;
-    } catch (...) {
-      {
-        std::lock_guard lock(mutex);
-        first_failure = std::min(first_failure, s);
-      }
+      lock.lock();
+      for (std::size_t j = 0; j < k; ++j) ready[(base + j) % window] = 0;
+      folded = base + k;
       advanced.notify_all();
-      throw;
     }
-  });
+    folding = false;
+  };
+  const auto failed = [&](std::size_t s) {
+    {
+      std::lock_guard lock(mutex);
+      first_failure = std::min(first_failure, s);
+    }
+    advanced.notify_all();
+  };
+  run_stage(stage, /*longest_first=*/false,
+            {.take = take, .admit = admit, .failed = failed});
   FEDCLUST_CHECK(folded == cohort, "fold stopped at slot " << folded << " of "
                                                            << cohort);
   out.mean_train_loss = loss_sum / static_cast<double>(cohort);

@@ -241,11 +241,27 @@ class Federation {
   /// has been quarantined).
   std::vector<std::size_t> sample_clients(std::size_t round) const;
 
+  /// One client's training assignment: the round its RNG and fault draws
+  /// are keyed by, and the broadcast it trains from as received (already
+  /// download-codec decoded).
+  struct TrainJob {
+    std::size_t client = 0;
+    std::size_t round = 0;
+    std::span<const float> start;
+  };
+
+  /// Receives one update that passed a cohort's per-update stage, with its
+  /// slot (its position among the round's survivors).
+  using UpdateSink = std::function<void(std::size_t slot, ClientUpdate&&)>;
+
   /// Trains the listed clients in parallel, each starting from
-  /// `start_weights_for(client_id)` (which must stay valid for the call).
+  /// `start_weights_for(client_id)` (called once per surviving client on
+  /// the caller's thread; the span must stay valid for the call).
   /// Returns updates in input order. Does NOT meter communication — the
   /// algorithm decides what actually crossed the wire (e.g. FedClust
-  /// uploads only final-layer weights in round 0).
+  /// uploads only final-layer weights in round 0). Slots are claimed
+  /// longest shard first, but results are slot-indexed and a failure
+  /// rethrows the lowest failing slot's error (see run_stage).
   ///
   /// When config().dropout > 0 and `allow_failures` is true, each client
   /// independently drops out with that probability and its update is
@@ -266,11 +282,11 @@ class Federation {
   /// solicited client: crashed clients are dropped like churn, stale
   /// replays train from the run's initial weights, and corrupted uploads
   /// are mutated after training. With config().robust.validate enabled,
-  /// every arrived update is screened (shape / finite / norm envelope);
-  /// rejections are dropped from the result, metered as received
-  /// traffic, and charged as quarantine strikes. `fault_attempt`
-  /// distinguishes re-solicitations of the same round (formation
-  /// hardening) so their fault draws are independent.
+  /// the cohort is gathered and every arrived update is screened (shape /
+  /// finite / norm envelope); rejections are dropped from the result,
+  /// metered as received traffic, and charged as quarantine strikes.
+  /// `fault_attempt` distinguishes re-solicitations of the same round
+  /// (formation hardening) so their fault draws are independent.
   std::vector<ClientUpdate> train_clients(
       const std::vector<std::size_t>& clients, std::size_t round,
       const std::function<std::span<const float>(std::size_t)>&
@@ -278,6 +294,20 @@ class Federation {
       const LocalTrainConfig* config_override = nullptr,
       bool allow_failures = true, const NetPayloads* net_payloads = nullptr,
       std::size_t fault_attempt = 0);
+
+  /// train_clients that hands each kept update to `sink` and returns the
+  /// survivors (slot -> client id). Without screening, `sink` runs on the
+  /// pool runner that trained the slot, so a sink keeping only a slice
+  /// holds full models just for the updates in flight. With validation
+  /// on, the cohort is gathered and screened first and `sink` runs on the
+  /// caller's thread in slot order.
+  std::vector<std::size_t> train_clients_into(
+      const std::vector<std::size_t>& clients, std::size_t round,
+      const std::function<std::span<const float>(std::size_t)>&
+          start_weights_for,
+      const UpdateSink& sink, const LocalTrainConfig* config_override,
+      bool allow_failures, const NetPayloads* net_payloads,
+      std::size_t fault_attempt);
 
   /// Result of a trained-and-folded round (train_clients_folded).
   struct FoldResult {
@@ -296,28 +326,28 @@ class Federation {
 
   /// Cross-device round: trains the listed clients and folds their
   /// updates through a two-level edge-aggregator tree WITHOUT ever
-  /// holding O(cohort) updates. One streaming pass over the survivor
-  /// slots trains them on the pool; finished updates wait in a
-  /// slot-indexed ring, and whichever worker finishes a slot while no
+  /// holding O(cohort) updates. The per-update stage runs over the
+  /// survivor slots in ascending order; finished updates wait in a
+  /// slot-indexed ring, and whichever runner finishes a slot while no
   /// other is folding folds every contiguous ready slot into one shared
   /// slot-ordered double accumulator (ops::weighted_accumulate_partial).
   /// Edges own contiguous ascending slot ranges, so slot order is the
   /// tree's fold order. Under the default kWeightedMean rule the result
   /// is bit-identical to train_clients + aggregate for ANY
   /// topology.num_edges and any worker count (every element sees the
-  /// identical operation sequence). Churn, network fate, faults, and
-  /// metering behave exactly like train_clients (allow_failures = true);
-  /// under config().audit the first failing slot's error is rethrown,
-  /// naming the client train_clients' audit sweep names.
+  /// identical operation sequence). Churn, network fate, faults, codecs,
+  /// audits, and metering behave exactly like train_clients
+  /// (allow_failures = true), including which client a failure names.
   ///
   /// MEMORY NOTE: resident updates are bounded by the ring's window of
-  /// max(4 × pool workers, 8) slots (16 at 4 workers): a worker starts
-  /// slot s only while s < folded + window. Robust rules (trimmed mean /
-  /// median / norm-clip) and server-side validation need the full
-  /// cohort's updates at once (per-coordinate order statistics,
-  /// cohort-median norm envelopes); those configurations fall back to
-  /// gather-at-root — O(cohort × model) server memory, flagged by
-  /// FoldResult::gathered.
+  /// max(4 × pool workers, 8) slots (16 at 4 workers): a runner starts
+  /// slot s only while s < folded + window. train_clients_into with a
+  /// slice-keeping sink (FedClust's formation) is bounded the same way,
+  /// by the updates in flight. Robust rules (trimmed mean / median /
+  /// norm-clip) and server-side validation need the full cohort's
+  /// updates at once (per-coordinate order statistics, cohort-median
+  /// norm envelopes); those configurations fall back to gather-at-root —
+  /// O(cohort × model) server memory, flagged by FoldResult::gathered.
   FoldResult train_clients_folded(
       const std::vector<std::size_t>& clients, std::size_t round,
       const std::function<std::span<const float>(std::size_t)>&
@@ -360,36 +390,23 @@ class Federation {
       const std::vector<double>& coefficients,
       std::span<const float> reference = {});
 
-  /// Trains one client for the async engine's buffer flush: the same
-  /// pooled-clone / payload-fault / RNG pipeline as a synchronous round
-  /// with round == `dispatch` (the globally unique dispatch sequence
-  /// number), starting from `start` — the weights the client received at
-  /// dispatch time, already download-codec decoded by the scheduler.
-  /// Does NOT meter, simulate, or screen; the scheduler owns arrival
-  /// fate and transport_and_screen owns the upload leg.
-  ClientUpdate train_dispatch(std::size_t client, std::size_t dispatch,
-                              std::span<const float> start,
-                              const LocalTrainConfig* config_override) const;
-
-  /// Slot-aligned result of transport_and_screen: every update trained,
-  /// with per-slot screening verdicts (all-accepted when validation is
-  /// off).
+  /// Slot-aligned result of train_dispatched: every update trained, with
+  /// per-slot screening verdicts (all-accepted when validation is off).
   struct ScreenedBatch {
     std::vector<ClientUpdate> updates;
     std::vector<std::uint8_t> accepted;
   };
 
-  /// Applies the upload leg to a buffer of trained updates exactly as
-  /// train_clients does for a synchronous cohort: upload-codec transport
-  /// (the aggregator only ever sees decode(encode(update))), and — with
-  /// validation enabled — encode + codec-envelope + decode-then-screen
-  /// against each update's own broadcast reference `starts[i]`.
-  /// Rejections are charged as quarantine strikes; the caller meters
-  /// traffic (arrived bytes crossed the wire whether or not screening
-  /// keeps them). Updates must be whole models.
-  ScreenedBatch transport_and_screen(
-      std::vector<ClientUpdate> updates,
-      const std::vector<std::span<const float>>& starts);
+  /// Trains the async engine's buffer flush through the same per-update
+  /// stage as a synchronous cohort. Each job carries its dispatch sequence
+  /// number as the round and the weights the client received at dispatch.
+  /// The upload leg matches train_clients: the aggregator only ever sees
+  /// decode(encode(update)), and with validation enabled every update is
+  /// screened against its own broadcast and rejections are charged as
+  /// quarantine strikes. Does NOT meter or simulate: the scheduler owns
+  /// arrival fate and metered both legs at dispatch.
+  ScreenedBatch train_dispatched(std::vector<TrainJob> jobs,
+                                 const LocalTrainConfig* config_override);
 
   /// The run's drift plan, or null when config().drift is disabled.
   const robust::DriftPlan* drift_plan() const { return drift_plan_.get(); }
@@ -452,23 +469,66 @@ class Federation {
   const ModelPool& model_pool() const { return model_pool_; }
 
  private:
-  /// Shared solicitation pipeline of train_clients and
-  /// train_clients_folded: quarantine filter → fault fate → churn →
-  /// simulated network fate. Returns the clients whose updates will
-  /// arrive, in ascending solicited order.
+  /// Shared solicitation pipeline of every synchronous cohort: quarantine
+  /// filter → fault fate → churn → simulated network fate. Returns the
+  /// clients whose updates will arrive, in ascending solicited order.
   std::vector<std::size_t> round_survivors(
       const std::vector<std::size_t>& clients, std::size_t round,
       const LocalTrainConfig& local, bool allow_failures,
       const NetPayloads* net_payloads, std::size_t fault_attempt);
 
-  /// Trains one surviving client (pooled clone, payload faults applied) —
-  /// the single code path both flat and folded rounds go through, so
-  /// their per-client math is identical by construction.
-  ClientUpdate train_one(
-      std::size_t cid, std::size_t round,
-      const std::function<std::span<const float>(std::size_t)>&
-          start_weights_for,
-      const LocalTrainConfig& local, std::size_t fault_attempt) const;
+  /// A solicited cohort, ready for the per-update stage.
+  struct Cohort {
+    /// The survivors' jobs, in slot (ascending solicited) order.
+    std::vector<TrainJob> jobs;
+    LocalTrainConfig local;
+    std::size_t fault_attempt = 0;
+    /// The upload codec carries these updates (whole-model uploads).
+    bool transport = false;
+    /// Upload size metered for a screened-out update; 0 when the caller
+    /// metered it already (the async scheduler, at dispatch).
+    std::size_t meter_rejected_floats = 0;
+    /// Download-decoded broadcasts the jobs' start spans point into.
+    std::vector<std::vector<float>> decoded;
+  };
+
+  /// Where the per-update stage delivers. `take` runs on pool runners,
+  /// concurrently for distinct slots; `admit` runs before a slot trains
+  /// and may block; `failed` runs after a slot threw.
+  struct Sink {
+    UpdateSink take{};
+    std::function<void(std::size_t)> admit{};
+    std::function<void(std::size_t)> failed{};
+  };
+
+  /// round_survivors plus the download leg: one job per arrived client.
+  Cohort solicit(const std::vector<std::size_t>& clients, std::size_t round,
+                 const std::function<std::span<const float>(std::size_t)>&
+                     start_weights_for,
+                 const LocalTrainConfig* config_override, bool allow_failures,
+                 const NetPayloads* net_payloads, std::size_t fault_attempt);
+
+  /// The per-update stage, written once: for every slot on the pool,
+  /// train_one, then (screening off) the upload-codec round trip and the
+  /// audit sweep, then sink.take. Rethrows the lowest failing slot's
+  /// error whatever the claim order (longest shard first, or ascending).
+  void run_stage(const Cohort& cohort, bool longest_first, const Sink& sink);
+
+  /// run_stage into a slot-indexed vector, longest shard first.
+  std::vector<ClientUpdate> gather(const Cohort& cohort);
+
+  /// Server-side screening of a gathered cohort (all accepted when
+  /// validation is off): decode-then-screen through the codec envelope
+  /// when the upload codec applies, plain screening otherwise. Accepted
+  /// updates keep what survived the wire and are audited; rejections are
+  /// metered (see Cohort::meter_rejected_floats) and struck. Returns
+  /// per-slot verdicts.
+  std::vector<std::uint8_t> screen(const Cohort& cohort,
+                                   std::vector<ClientUpdate>& updates);
+
+  /// Trains one job (pooled clone, payload faults applied).
+  ClientUpdate train_one(const TrainJob& job, const LocalTrainConfig& local,
+                         std::size_t fault_attempt) const;
 
   /// Encoded payload bytes of `codec` for a num_floats transfer that
   /// codec_applies; repeats the model layout for multi-model payloads.

@@ -2,7 +2,7 @@
 //  * AsyncEngine — preconditions: the network simulator, algorithms
 //    with static membership, and FedClust's sync-only knobs refused.
 //  * AsyncDeterminism — buffered trajectories are bit-identical across
-//    kernel-thread counts, worker-thread counts, and `concurrency`.
+//    kernel-thread counts and worker-thread counts.
 //  * AsyncStaleness — the staleness decay and the flush's mixing
 //    coefficients against hand-computed values.
 //  * AsyncChaos — crash/corruption faults plus churn never wedge the
@@ -171,17 +171,6 @@ TEST(AsyncDeterminism, BitIdenticalAcrossWorkerThreads) {
   four.threads = 4;
   expect_same_rounds(run_async_fedclust(one, ac, 6),
                      run_async_fedclust(four, ac, 6));
-}
-
-TEST(AsyncDeterminism, BitIdenticalAcrossConcurrency) {
-  // `concurrency` is the execution knob: any flush-executor width must
-  // reproduce the same trajectory bit-for-bit.
-  AsyncConfig serial = small_async();
-  serial.concurrency = 1;
-  AsyncConfig wide = small_async();
-  wide.concurrency = 4;
-  expect_same_rounds(run_async_fedclust(cellular_config(), serial, 6),
-                     run_async_fedclust(cellular_config(), wide, 6));
 }
 
 TEST(AsyncDeterminism, InflightIsSemantic) {

@@ -261,16 +261,21 @@ TEST(EdgeAggregation, StreamingFoldBitIdenticalAcrossWorkersAndEdges) {
 }
 
 // A runner that throws inside the streaming fold must not wedge the
-// others: the round fails with the lowest failing client — the one the
-// flat path's audit sweep names — every time, and the pool stays usable.
+// others: the round fails with the lowest failing slot — the lowest
+// client the fault plan poisons — every time, and the pool stays usable.
+// The flat path names the same client at any worker count, so neither
+// its longest-first dispatch nor the fold's window reaches attribution.
 TEST(EdgeAggregation, FailureInsideFoldPropagates) {
   fl::FederationConfig cfg;
-  cfg.threads = 4;
   cfg.audit = true;
   cfg.faults.enabled = true;
   cfg.faults.nan_prob = 0.05;
-  fl::Federation fed =
-      testing::make_dirichlet_federation(120, 50.0, 9600, 7, cfg);
+  const auto make = [&](std::size_t threads) {
+    fl::FederationConfig c = cfg;
+    c.threads = threads;
+    return testing::make_dirichlet_federation(120, 50.0, 9600, 7, c);
+  };
+  fl::Federation fed = make(4);
   const std::vector<float> global = fed.template_model().flat_weights();
   const auto weights_for = [&](std::size_t) {
     return std::span<const float>(global);
@@ -278,21 +283,34 @@ TEST(EdgeAggregation, FailureInsideFoldPropagates) {
   std::vector<std::size_t> cohort(fed.num_clients());
   for (std::size_t i = 0; i < cohort.size(); ++i) cohort[i] = i;
 
+  // No churn, network or quarantine here: slot s is client s.
+  std::string expected;
+  for (const std::size_t c : cohort) {
+    if (fed.fault_plan().decide(1, c, 0) == robust::FaultKind::kNanPoison) {
+      expected = std::to_string(c);
+      break;
+    }
+  }
+  ASSERT_FALSE(expected.empty()) << "the plan poisons no client";
+
   const auto failing_client = [](const std::string& what) {
     const std::size_t at = what.find(" client ");
     EXPECT_NE(at, std::string::npos) << what;
     if (at == std::string::npos) return std::string();
     const std::size_t begin = at + 8;
+    EXPECT_NE(what.find(" update weights", begin), std::string::npos) << what;
     return what.substr(begin, what.find(' ', begin) - begin);
   };
-  std::string expected;
-  try {
-    fed.train_clients(cohort, /*round=*/1, weights_for);
-    FAIL() << "the flat path's audit sweep should reject a NaN upload";
-  } catch (const Error& e) {
-    expected = failing_client(e.what());
+  for (const std::size_t threads : {1u, 4u}) {
+    fl::Federation flat = make(threads);
+    try {
+      flat.train_clients(cohort, /*round=*/1, weights_for);
+      FAIL() << threads << " threads: the audit should reject a NaN upload";
+    } catch (const Error& e) {
+      EXPECT_EQ(failing_client(e.what()), expected)
+          << threads << " threads: " << e.what();
+    }
   }
-  ASSERT_FALSE(expected.empty());
 
   for (int call = 0; call < 3; ++call) {
     try {
