@@ -70,7 +70,7 @@ bench::FleetBenchResult run_stage(std::size_t fleet_size, std::size_t rounds,
     const auto t0 = std::chrono::steady_clock::now();
     const std::vector<std::size_t> cohort = fed.sample_clients(r);
     last_cohort = cohort.size();
-    fed.comm().begin_round(r, cohort);
+    fed.comm().begin_round(r);
     for (const std::size_t c : cohort) {
       fed.meter_download(c, fed.model_size());
     }

@@ -142,8 +142,6 @@ robust::RunCheckpoint capture_checkpoint(const Federation& federation,
   const CommMeter& comm = federation.comm();
   ck.comm.round_download = comm.round_download();
   ck.comm.round_upload = comm.round_upload();
-  ck.comm.client_download = comm.per_client_download();
-  ck.comm.client_upload = comm.per_client_upload();
   ck.comm.total_download = comm.total_download();
   ck.comm.total_upload = comm.total_upload();
   if (federation.network_enabled()) {
@@ -188,8 +186,6 @@ RunResult restore_checkpoint(Federation& federation, Algorithm& algorithm,
   }
   federation.comm().restore(checkpoint.comm.round_download,
                             checkpoint.comm.round_upload,
-                            checkpoint.comm.client_download,
-                            checkpoint.comm.client_upload,
                             checkpoint.comm.total_download,
                             checkpoint.comm.total_upload);
   if (federation.network_enabled()) {

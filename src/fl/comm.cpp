@@ -1,86 +1,19 @@
 #include "fl/comm.hpp"
 
-#include <algorithm>
+#include <numeric>
+#include <utility>
 
 #include "utils/error.hpp"
 
 namespace fedclust::fl {
-namespace {
-
-void attribute(std::vector<std::uint64_t>& per_client, std::size_t client,
-               std::uint64_t bytes) {
-  if (client >= per_client.size()) per_client.resize(client + 1, 0);
-  per_client[client] += bytes;
-}
-
-/// Two-pointer merge of staged (id, bytes) slots into a sorted ledger.
-void merge_into_ledger(
-    std::vector<std::pair<std::size_t, std::uint64_t>>& ledger,
-    const std::vector<std::size_t>& ids,
-    const std::vector<std::uint64_t>& slot_bytes) {
-  std::vector<std::pair<std::size_t, std::uint64_t>> merged;
-  merged.reserve(ledger.size() + ids.size());
-  std::size_t li = 0;
-  for (std::size_t s = 0; s < ids.size(); ++s) {
-    if (slot_bytes[s] == 0) continue;
-    while (li < ledger.size() && ledger[li].first < ids[s]) {
-      merged.push_back(ledger[li++]);
-    }
-    if (li < ledger.size() && ledger[li].first == ids[s]) {
-      merged.emplace_back(ids[s], ledger[li].second + slot_bytes[s]);
-      ++li;
-    } else {
-      merged.emplace_back(ids[s], slot_bytes[s]);
-    }
-  }
-  while (li < ledger.size()) merged.push_back(ledger[li++]);
-  ledger = std::move(merged);
-}
-
-std::uint64_t ledger_lookup(
-    const std::vector<std::pair<std::size_t, std::uint64_t>>& ledger,
-    std::size_t client) {
-  const auto it = std::lower_bound(
-      ledger.begin(), ledger.end(), client,
-      [](const auto& entry, std::size_t c) { return entry.first < c; });
-  return it != ledger.end() && it->first == client ? it->second : 0;
-}
-
-}  // namespace
 
 void CommMeter::begin_round(std::size_t round) {
   FEDCLUST_REQUIRE(round == down_.size(),
                    "rounds must be opened in order starting at 0: expected "
                        << down_.size() << ", got " << round
                        << " (out-of-order or repeated begin_round)");
-  flush_cohort();
-  cohort_mode_ = false;
   down_.push_back(0);
   up_.push_back(0);
-}
-
-void CommMeter::begin_round(std::size_t round,
-                            std::span<const std::size_t> cohort) {
-  begin_round(round);
-  cohort_mode_ = true;
-  cohort_ids_.assign(cohort.begin(), cohort.end());
-  FEDCLUST_REQUIRE(std::is_sorted(cohort_ids_.begin(), cohort_ids_.end()) &&
-                       std::adjacent_find(cohort_ids_.begin(),
-                                          cohort_ids_.end()) ==
-                           cohort_ids_.end(),
-                   "cohort ids must be sorted and unique");
-  slot_down_.assign(cohort_ids_.size(), 0);
-  slot_up_.assign(cohort_ids_.size(), 0);
-}
-
-void CommMeter::flush_cohort() {
-  if (!cohort_mode_) return;
-  merge_into_ledger(ledger_down_, cohort_ids_, slot_down_);
-  merge_into_ledger(ledger_up_, cohort_ids_, slot_up_);
-  cohort_mode_ = false;
-  cohort_ids_.clear();
-  slot_down_.clear();
-  slot_up_.clear();
 }
 
 void CommMeter::download(std::uint64_t bytes) {
@@ -89,100 +22,36 @@ void CommMeter::download(std::uint64_t bytes) {
   total_down_ += bytes;
 }
 
-void CommMeter::download(std::uint64_t bytes, std::size_t client) {
-  download(bytes);
-  if (cohort_mode_) {
-    const auto it =
-        std::lower_bound(cohort_ids_.begin(), cohort_ids_.end(), client);
-    if (it != cohort_ids_.end() && *it == client) {
-      slot_down_[static_cast<std::size_t>(it - cohort_ids_.begin())] += bytes;
-      return;
-    }
-    // Out-of-cohort attribution in a cohort round (rare: protocol
-    // side-traffic) falls back to the dense vector.
-  }
-  attribute(client_down_, client, bytes);
-}
-
 void CommMeter::upload(std::uint64_t bytes) {
   FEDCLUST_REQUIRE(!up_.empty(), "begin_round before recording traffic");
   up_.back() += bytes;
   total_up_ += bytes;
 }
 
-void CommMeter::upload(std::uint64_t bytes, std::size_t client) {
-  upload(bytes);
-  if (cohort_mode_) {
-    const auto it =
-        std::lower_bound(cohort_ids_.begin(), cohort_ids_.end(), client);
-    if (it != cohort_ids_.end() && *it == client) {
-      slot_up_[static_cast<std::size_t>(it - cohort_ids_.begin())] += bytes;
-      return;
-    }
-  }
-  attribute(client_up_, client, bytes);
-}
-
-std::uint64_t CommMeter::client_download(std::size_t client) const {
-  std::uint64_t bytes = client < client_down_.size() ? client_down_[client] : 0;
-  bytes += ledger_lookup(ledger_down_, client);
-  if (cohort_mode_) {
-    const auto it =
-        std::lower_bound(cohort_ids_.begin(), cohort_ids_.end(), client);
-    if (it != cohort_ids_.end() && *it == client) {
-      bytes += slot_down_[static_cast<std::size_t>(it - cohort_ids_.begin())];
-    }
-  }
-  return bytes;
-}
-
-std::uint64_t CommMeter::client_upload(std::size_t client) const {
-  std::uint64_t bytes = client < client_up_.size() ? client_up_[client] : 0;
-  bytes += ledger_lookup(ledger_up_, client);
-  if (cohort_mode_) {
-    const auto it =
-        std::lower_bound(cohort_ids_.begin(), cohort_ids_.end(), client);
-    if (it != cohort_ids_.end() && *it == client) {
-      bytes += slot_up_[static_cast<std::size_t>(it - cohort_ids_.begin())];
-    }
-  }
-  return bytes;
-}
-
 void CommMeter::reset() {
   down_.clear();
   up_.clear();
-  client_down_.clear();
-  client_up_.clear();
   total_down_ = 0;
   total_up_ = 0;
-  cohort_mode_ = false;
-  cohort_ids_.clear();
-  slot_down_.clear();
-  slot_up_.clear();
-  ledger_down_.clear();
-  ledger_up_.clear();
 }
 
 void CommMeter::restore(std::vector<std::uint64_t> round_down,
                         std::vector<std::uint64_t> round_up,
-                        std::vector<std::uint64_t> client_down,
-                        std::vector<std::uint64_t> client_up,
                         std::uint64_t total_down, std::uint64_t total_up) {
   FEDCLUST_REQUIRE(round_down.size() == round_up.size(),
                    "restore: per-round series must have equal length");
+  const auto sum = [](const std::vector<std::uint64_t>& v) {
+    return std::accumulate(v.begin(), v.end(), std::uint64_t{0});
+  };
+  FEDCLUST_REQUIRE(sum(round_down) == total_down && sum(round_up) == total_up,
+                   "restore: totals " << total_down << "/" << total_up
+                                      << " disagree with the per-round sums "
+                                      << sum(round_down) << "/"
+                                      << sum(round_up));
   down_ = std::move(round_down);
   up_ = std::move(round_up);
-  client_down_ = std::move(client_down);
-  client_up_ = std::move(client_up);
   total_down_ = total_down;
   total_up_ = total_up;
-  cohort_mode_ = false;
-  cohort_ids_.clear();
-  slot_down_.clear();
-  slot_up_.clear();
-  ledger_down_.clear();
-  ledger_up_.clear();
 }
 
 }  // namespace fedclust::fl

@@ -17,47 +17,36 @@
 // CommMeter::float_bytes itself is only the identity/raw fallback; all
 // codec-aware sizing lives in the Federation helpers above, which every
 // metering call site routes through.
+//
+// The meter counts bytes per round and per direction, never per client:
+// no reader needs attribution, and at fleet scale it would grow with
+// every client ever sampled.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace fedclust::fl {
 
-/// Byte counters split by direction, with per-round and per-client
-/// granularity.
+/// Byte counters split by direction, with per-round granularity.
 class CommMeter {
  public:
   /// Marks the beginning of round `r`. Rounds must be opened strictly in
   /// order starting at 0; anything else throws instead of mis-indexing
-  /// the per-round series. Per-client attribution for rounds opened this
-  /// way goes to the legacy dense vectors (sized to the largest client
-  /// id) — unchanged behaviour for the classic 20-client benches.
+  /// the per-round series.
   void begin_round(std::size_t round);
 
-  /// Opens round `r` in cohort-attribution mode: per-client bytes are
-  /// staged in O(cohort) slot arrays keyed by position in the (sorted,
-  /// unique) `cohort` id list and folded into a sparse, sorted
-  /// (client, bytes) ledger when the next round opens or flush_cohort()
-  /// runs. Totals and per-round series behave exactly like
-  /// begin_round(round). Fleet-scale drivers use this overload so comm
-  /// accounting stays O(cohort + clients ever attributed), never
-  /// O(fleet).
-  void begin_round(std::size_t round, std::span<const std::size_t> cohort);
+  /// Same as begin_round(round); the cohort is ignored. Kept so fleet
+  /// drivers that pass their cohort keep compiling.
+  void begin_round(std::size_t round, std::span<const std::size_t> /*cohort*/) {
+    begin_round(round);
+  }
 
-  /// Folds the current round's staged cohort-slot bytes into the sparse
-  /// ledger (idempotent; called automatically by the next begin_round).
-  void flush_cohort();
-
-  /// Records server -> client traffic (model broadcast). The overload
-  /// with `client` additionally attributes the bytes to that client.
+  /// Records server -> client traffic (model broadcast).
   void download(std::uint64_t bytes);
-  void download(std::uint64_t bytes, std::size_t client);
   /// Records client -> server traffic (update upload).
   void upload(std::uint64_t bytes);
-  void upload(std::uint64_t bytes, std::size_t client);
 
   /// Bytes for a vector of `num_floats` float32 values. This hard-codes
   /// float32 width and is correct only for RAW (uncompressed) transfers;
@@ -78,56 +67,21 @@ class CommMeter {
   const std::vector<std::uint64_t>& round_download() const { return down_; }
   const std::vector<std::uint64_t>& round_upload() const { return up_; }
 
-  /// Whole-run bytes attributed to one client (0 for clients never seen
-  /// by the attributing overloads). Sums the dense vectors, the sparse
-  /// cohort ledger, and the current round's staged slots.
-  std::uint64_t client_download(std::size_t client) const;
-  std::uint64_t client_upload(std::size_t client) const;
-  /// Dense per-client series, sized to the largest attributed client
-  /// id + 1. Covers only rounds opened WITHOUT a cohort; cohort-mode
-  /// attribution lives in the sparse ledgers below.
-  const std::vector<std::uint64_t>& per_client_download() const {
-    return client_down_;
-  }
-  const std::vector<std::uint64_t>& per_client_upload() const {
-    return client_up_;
-  }
-  /// Sparse whole-run (client, bytes) ledgers from cohort-mode rounds,
-  /// sorted by client id. Excludes the current round until it flushes.
-  const std::vector<std::pair<std::size_t, std::uint64_t>>&
-  cohort_download_ledger() const {
-    return ledger_down_;
-  }
-  const std::vector<std::pair<std::size_t, std::uint64_t>>&
-  cohort_upload_ledger() const {
-    return ledger_up_;
-  }
-
   void reset();
 
   /// Restores all counters from a checkpoint snapshot, so metering can
-  /// continue with begin_round(round_count()).
+  /// continue with begin_round(round_count()). Throws unless the two
+  /// series have equal length and each total equals the sum of its
+  /// series.
   void restore(std::vector<std::uint64_t> round_down,
-               std::vector<std::uint64_t> round_up,
-               std::vector<std::uint64_t> client_down,
-               std::vector<std::uint64_t> client_up, std::uint64_t total_down,
+               std::vector<std::uint64_t> round_up, std::uint64_t total_down,
                std::uint64_t total_up);
 
  private:
   std::vector<std::uint64_t> down_;
   std::vector<std::uint64_t> up_;
-  std::vector<std::uint64_t> client_down_;
-  std::vector<std::uint64_t> client_up_;
   std::uint64_t total_down_ = 0;
   std::uint64_t total_up_ = 0;
-
-  // Cohort-mode staging (current round) and sparse whole-run ledgers.
-  bool cohort_mode_ = false;
-  std::vector<std::size_t> cohort_ids_;  ///< sorted, unique
-  std::vector<std::uint64_t> slot_down_;
-  std::vector<std::uint64_t> slot_up_;
-  std::vector<std::pair<std::size_t, std::uint64_t>> ledger_down_;
-  std::vector<std::pair<std::size_t, std::uint64_t>> ledger_up_;
 };
 
 }  // namespace fedclust::fl

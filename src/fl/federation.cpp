@@ -809,41 +809,29 @@ AccuracySummary Federation::evaluate_personalized(
     const {
   AccuracySummary out;
   const std::size_t n = source_->num_clients();
-  if (drift_plan_ != nullptr) {
-    // Departed slots score NaN and are excluded from the mean/std, so a
-    // static baseline's degradation under drift is attributable to the
-    // drift itself, never to ghost evaluations of clients that left.
-    out.per_client.assign(n, std::numeric_limits<double>::quiet_NaN());
-    std::vector<std::size_t> alive;
-    alive.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (drift_plan_->active(drift_round_, i)) alive.push_back(i);
-    }
-    if (alive.empty()) return out;
-    pool_.parallel_for(0, alive.size(), [&](std::size_t a) {
-      out.per_client[alive[a]] =
-          evaluate_client(alive[a], weights_for(alive[a])).accuracy;
-    });
-    double sum = 0.0;
-    for (const std::size_t i : alive) sum += out.per_client[i];
-    out.mean = sum / static_cast<double>(alive.size());
-    double var = 0.0;
-    for (const std::size_t i : alive) {
-      var += (out.per_client[i] - out.mean) * (out.per_client[i] - out.mean);
-    }
-    out.std = std::sqrt(var / static_cast<double>(alive.size()));
-    return out;
+  // Departed slots (drift only) score NaN and are excluded from the
+  // mean/std, so a static baseline's degradation under drift is
+  // attributable to the drift itself, never to ghost evaluations of
+  // clients that left. Without drift every client is alive.
+  out.per_client.assign(n, std::numeric_limits<double>::quiet_NaN());
+  std::vector<std::size_t> alive;
+  alive.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (client_active(drift_round_, i)) alive.push_back(i);
   }
-  out.per_client.assign(n, 0.0);
-  pool_.parallel_for(0, n, [&](std::size_t i) {
-    out.per_client[i] = evaluate_client(i, weights_for(i)).accuracy;
+  if (alive.empty()) return out;
+  pool_.parallel_for(0, alive.size(), [&](std::size_t a) {
+    out.per_client[alive[a]] =
+        evaluate_client(alive[a], weights_for(alive[a])).accuracy;
   });
   double sum = 0.0;
-  for (double a : out.per_client) sum += a;
-  out.mean = sum / static_cast<double>(out.per_client.size());
+  for (const std::size_t i : alive) sum += out.per_client[i];
+  out.mean = sum / static_cast<double>(alive.size());
   double var = 0.0;
-  for (double a : out.per_client) var += (a - out.mean) * (a - out.mean);
-  out.std = std::sqrt(var / static_cast<double>(out.per_client.size()));
+  for (const std::size_t i : alive) {
+    var += (out.per_client[i] - out.mean) * (out.per_client[i] - out.mean);
+  }
+  out.std = std::sqrt(var / static_cast<double>(alive.size()));
   return out;
 }
 

@@ -175,14 +175,15 @@ class Federation {
   /// Same for one client -> server transfer under the upload codec.
   std::uint64_t upload_wire_bytes(std::size_t num_floats) const;
 
-  /// Meters one server -> client transfer of `num_floats` values,
-  /// attributed to `client`.
-  void meter_download(std::size_t client, std::size_t num_floats) {
-    comm_.download(download_wire_bytes(num_floats), client);
+  /// Meters one server -> client transfer of `num_floats` values. The
+  /// client id is not recorded (the meter counts bytes, not clients); it
+  /// stays in the signature so every call site names who is served.
+  void meter_download(std::size_t /*client*/, std::size_t num_floats) {
+    comm_.download(download_wire_bytes(num_floats));
   }
   /// Meters one client -> server transfer of `num_floats` values.
-  void meter_upload(std::size_t client, std::size_t num_floats) {
-    comm_.upload(upload_wire_bytes(num_floats), client);
+  void meter_upload(std::size_t /*client*/, std::size_t num_floats) {
+    comm_.upload(upload_wire_bytes(num_floats));
   }
 
   /// Framed v3 byte size for a simulated ClientOp override: non-zero —

@@ -113,10 +113,12 @@ Message decode(std::span<const std::uint8_t> buf) {
                        << r.remaining());
   } else {
     m.header.payload_crc = r.u32();
-    FEDCLUST_CHECK(r.remaining() == m.header.payload_floats * 4,
+    // Divide instead of multiplying: payload_floats * 4 can wrap.
+    FEDCLUST_CHECK(r.remaining() % 4 == 0 &&
+                       r.remaining() / 4 == m.header.payload_floats,
                    "message payload length mismatch: header says "
-                       << m.header.payload_floats * 4 << " bytes, buffer has "
-                       << r.remaining());
+                       << m.header.payload_floats << " floats, buffer has "
+                       << r.remaining() << " bytes");
   }
   const std::uint32_t actual_crc =
       crc32(buf.data() + r.position(), r.remaining());

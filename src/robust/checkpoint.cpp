@@ -13,10 +13,11 @@ namespace {
 namespace wire = nn::wire;
 
 constexpr char kMagic[4] = {'F', 'C', 'K', 'P'};
-// The one accepted layout: synchronous run state, the async scheduler
+// The one accepted layout: synchronous run state (comm as per-round
+// series plus totals, no per-client attribution), the async scheduler
 // block, per-round drift telemetry and the drift-detector block. Files
 // stamped with any other version are refused.
-constexpr std::uint32_t kVersion = 3;
+constexpr std::uint32_t kVersion = 4;
 
 void put_u64_vec(std::vector<std::uint8_t>& buf,
                  const std::vector<std::uint64_t>& v) {
@@ -26,7 +27,7 @@ void put_u64_vec(std::vector<std::uint8_t>& buf,
 
 std::vector<std::uint64_t> get_u64_vec(wire::Reader& r) {
   const std::uint64_t n = r.u64();
-  FEDCLUST_CHECK(n * 8 <= r.remaining(),
+  FEDCLUST_CHECK(n <= r.remaining() / 8,
                  "checkpoint: implausible vector length " << n);
   std::vector<std::uint64_t> v(static_cast<std::size_t>(n));
   for (auto& x : v) x = r.u64();
@@ -49,7 +50,7 @@ std::vector<std::vector<float>> get_f32_vecs(wire::Reader& r) {
   std::vector<std::vector<float>> vecs(static_cast<std::size_t>(n));
   for (auto& v : vecs) {
     const std::uint64_t len = r.u64();
-    FEDCLUST_CHECK(len * 4 <= r.remaining(),
+    FEDCLUST_CHECK(len <= r.remaining() / 4,
                    "checkpoint: implausible weight length " << len);
     v.resize(static_cast<std::size_t>(len));
     r.f32(v);
@@ -119,8 +120,6 @@ void save_checkpoint(const RunCheckpoint& ck, const std::string& path) {
 
   put_u64_vec(buf, ck.comm.round_download);
   put_u64_vec(buf, ck.comm.round_upload);
-  put_u64_vec(buf, ck.comm.client_download);
-  put_u64_vec(buf, ck.comm.client_upload);
   wire::put_u64(buf, ck.comm.total_download);
   wire::put_u64(buf, ck.comm.total_upload);
 
@@ -236,8 +235,6 @@ RunCheckpoint load_checkpoint(const std::string& path) {
 
   ck.comm.round_download = get_u64_vec(r);
   ck.comm.round_upload = get_u64_vec(r);
-  ck.comm.client_download = get_u64_vec(r);
-  ck.comm.client_upload = get_u64_vec(r);
   ck.comm.total_download = r.u64();
   ck.comm.total_upload = r.u64();
 
@@ -279,7 +276,7 @@ RunCheckpoint load_checkpoint(const std::string& path) {
     s.cluster = r.u64();
     s.version = r.u64();
     const std::uint64_t len = r.u64();
-    FEDCLUST_CHECK(len * 4 <= r.remaining(),
+    FEDCLUST_CHECK(len <= r.remaining() / 4,
                    "checkpoint: implausible start length " << len);
     s.weights.resize(static_cast<std::size_t>(len));
     r.f32(s.weights);
@@ -296,7 +293,7 @@ RunCheckpoint load_checkpoint(const std::string& path) {
   ck.drift.windows.resize(static_cast<std::size_t>(num_windows));
   for (std::vector<double>& w : ck.drift.windows) {
     const std::uint64_t len = r.u64();
-    FEDCLUST_CHECK(len * 8 <= r.remaining(),
+    FEDCLUST_CHECK(len <= r.remaining() / 8,
                    "checkpoint: implausible window length " << len);
     w.resize(static_cast<std::size_t>(len));
     for (double& x : w) x = r.f64();

@@ -51,12 +51,12 @@ struct RoundRecord {
   std::uint64_t reclusters = 0;     ///< cumulative recovery operations
 };
 
-/// Full state of a CommMeter (per-round + per-client series + totals).
+/// Full state of a CommMeter: the per-round series and the run totals.
+/// The totals are redundant with the series' sums; restore checks that
+/// they agree, so a snapshot whose totals were altered is refused.
 struct CommSnapshot {
   std::vector<std::uint64_t> round_download;
   std::vector<std::uint64_t> round_upload;
-  std::vector<std::uint64_t> client_download;
-  std::vector<std::uint64_t> client_upload;
   std::uint64_t total_download = 0;
   std::uint64_t total_upload = 0;
 };

@@ -11,7 +11,7 @@
 //  * DriftRecovery — end to end: static FedClust degrades permanently
 //    under an injected drift, FedClust-dynamic detects and recovers.
 //  * DriftDeterminism / DriftResume — bit-identity across kernel-thread
-//    counts and FCKP v3 kill/resume points.
+//    counts and FCKP kill/resume points.
 //  * DriftServe — hot-reloading a re-clustered registry snapshot.
 // CI runs `^Drift` under TSan alongside the async suites.
 #include "robust/drift.hpp"

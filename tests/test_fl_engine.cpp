@@ -44,6 +44,11 @@ TEST(CommMeter, EnforcesRoundOrdering) {
   m.reset();
   EXPECT_EQ(m.total(), 0u);
   m.begin_round(0);  // ordering restarts after reset
+  // The cohort overload obeys the same ordering.
+  const std::vector<std::size_t> cohort = {3, 1};
+  EXPECT_THROW(m.begin_round(0, cohort), Error);
+  m.begin_round(1, cohort);
+  EXPECT_EQ(m.round_count(), 2u);
 }
 
 TEST(CommMeter, FloatBytes) {
@@ -51,31 +56,17 @@ TEST(CommMeter, FloatBytes) {
   EXPECT_EQ(CommMeter::float_bytes(0), 0u);
 }
 
-TEST(CommMeter, AttributesBytesPerClient) {
+TEST(CommMeter, RestoreRefusesInconsistentTotals) {
   CommMeter m;
-  m.begin_round(0);
-  m.download(100, 2);
-  m.upload(40, 2);
-  m.download(10, 0);
-  EXPECT_EQ(m.round_count(), 1u);
-  m.begin_round(1);
-  m.upload(5, 2);
+  EXPECT_THROW(m.restore({100, 10}, {40}, 110, 40), Error);  // lengths
+  EXPECT_THROW(m.restore({100, 10}, {40, 0}, 111, 40), Error);  // download
+  EXPECT_THROW(m.restore({100, 10}, {40, 0}, 110, 39), Error);  // upload
+  m.restore({100, 10}, {40, 0}, 110, 40);
   EXPECT_EQ(m.round_count(), 2u);
-
-  EXPECT_EQ(m.client_download(2), 100u);
-  EXPECT_EQ(m.client_upload(2), 45u);
-  EXPECT_EQ(m.client_download(0), 10u);
-  EXPECT_EQ(m.client_upload(0), 0u);
-  EXPECT_EQ(m.client_download(7), 0u);  // never attributed
-  EXPECT_EQ(m.per_client_download().size(), 3u);
-  // Attributed traffic feeds the same totals as the bare overloads.
-  EXPECT_EQ(m.total_download(), 110u);
+  EXPECT_EQ(m.total(), 150u);
+  m.begin_round(2);  // metering continues after the restored rounds
+  m.upload(5);
   EXPECT_EQ(m.total_upload(), 45u);
-
-  m.reset();
-  EXPECT_EQ(m.round_count(), 0u);
-  EXPECT_EQ(m.client_download(2), 0u);
-  EXPECT_TRUE(m.per_client_download().empty());
 }
 
 // -- local trainer ------------------------------------------------------------

@@ -431,46 +431,6 @@ TEST(ModelPool, RecycledCloneTrainsBitIdenticalToFreshClone) {
             check::weights_fingerprint(fresh.flat_weights()));
 }
 
-TEST(CommMeter, CohortModeMatchesDenseAttribution) {
-  fl::CommMeter dense;
-  fl::CommMeter sparse;
-  const std::vector<std::size_t> cohort = {2, 5, 9};
-
-  dense.begin_round(0);
-  sparse.begin_round(0, cohort);
-  for (const std::size_t c : cohort) {
-    dense.download(100 + c, c);
-    sparse.download(100 + c, c);
-    dense.upload(200 + c, c);
-    sparse.upload(200 + c, c);
-  }
-  // Out-of-cohort protocol side-traffic falls back to dense attribution.
-  dense.download(7, 7);
-  sparse.download(7, 7);
-
-  // Mid-round reads see the staged slots.
-  EXPECT_EQ(sparse.client_download(5), dense.client_download(5));
-
-  const std::vector<std::size_t> cohort2 = {5, 11};
-  dense.begin_round(1);
-  sparse.begin_round(1, cohort2);  // flushes round 0 into the ledger
-  for (const std::size_t c : cohort2) {
-    dense.upload(50, c);
-    sparse.upload(50, c);
-  }
-  sparse.flush_cohort();
-
-  for (const std::size_t c : {2u, 5u, 7u, 9u, 11u, 13u}) {
-    EXPECT_EQ(sparse.client_download(c), dense.client_download(c)) << c;
-    EXPECT_EQ(sparse.client_upload(c), dense.client_upload(c)) << c;
-  }
-  EXPECT_EQ(sparse.total(), dense.total());
-  EXPECT_EQ(sparse.round_download(), dense.round_download());
-  EXPECT_EQ(sparse.round_upload(), dense.round_upload());
-  // The sparse ledger holds exactly the attributed cohort clients.
-  EXPECT_EQ(sparse.cohort_upload_ledger().size(), 4u);  // 2, 5, 9, 11
-}
-
 TEST(Partition, DirichletDealClassConservesAndRepeats) {
   struct Deal {
     std::size_t client, offset, count;

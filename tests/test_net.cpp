@@ -11,6 +11,7 @@
 #include "algorithms/fedavg.hpp"
 #include "fl/metrics.hpp"
 #include "test_helpers.hpp"
+#include "utils/crc32.hpp"
 #include "utils/error.hpp"
 
 namespace fedclust::net {
@@ -67,6 +68,27 @@ TEST(Message, RejectsTrailingGarbage) {
   m.payload = {1.0f};
   std::vector<std::uint8_t> buf = encode(m);
   buf.push_back(0);
+  EXPECT_THROW(decode(buf), Error);
+}
+
+TEST(Message, RawLengthOverflowIsRejected) {
+  // payload_floats = 2^62 + 1 makes payload_floats * 4 wrap to 4, the
+  // size of the one-float payload actually present. With a valid CRC the
+  // frame must still fail as a fedclust::Error, not as a length_error
+  // from sizing the payload vector.
+  Message m;
+  m.payload = {1.0f};
+  std::vector<std::uint8_t> buf = encode(m);
+  ASSERT_EQ(buf.size(), kHeaderBytes + 4);
+  const auto put_le = [&](std::size_t at, std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      buf[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  };
+  // Raw v2 header: magic(4) version(2) kind(2) round(4) sender(4) |
+  // u64 payload_floats | u32 crc32(payload).
+  put_le(16, (std::uint64_t{1} << 62) + 1, 8);
+  put_le(24, crc32(buf.data() + kHeaderBytes, 4), 4);
   EXPECT_THROW(decode(buf), Error);
 }
 

@@ -573,8 +573,6 @@ RunCheckpoint sample_checkpoint() {
   ck.rounds.push_back({1, 0.5, 0.02, 1.0, 300, 600, 2, 3.0, 0xCAFEBABEu});
   ck.comm.round_download = {200, 400};
   ck.comm.round_upload = {100, 200};
-  ck.comm.client_download = {150, 150, 150, 150};
-  ck.comm.client_upload = {75, 75, 75, 75};
   ck.comm.total_download = 600;
   ck.comm.total_upload = 300;
   ck.net.present = true;
@@ -613,8 +611,6 @@ TEST(Checkpoint, SaveLoadRoundTrip) {
   }
   EXPECT_EQ(back.comm.round_download, ck.comm.round_download);
   EXPECT_EQ(back.comm.round_upload, ck.comm.round_upload);
-  EXPECT_EQ(back.comm.client_download, ck.comm.client_download);
-  EXPECT_EQ(back.comm.client_upload, ck.comm.client_upload);
   EXPECT_EQ(back.comm.total_download, ck.comm.total_download);
   EXPECT_EQ(back.comm.total_upload, ck.comm.total_upload);
   EXPECT_EQ(back.net.present, ck.net.present);
@@ -645,38 +641,77 @@ TEST(Checkpoint, CorruptedFileFailsLoudly) {
   std::filesystem::remove(path);
 }
 
+// Little-endian field patching for hand-crafted checkpoint files.
+void put_le(std::uint8_t* at, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) {
+    at[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void write_with_valid_crc(const std::string& path,
+                          std::vector<std::uint8_t> bytes) {
+  put_le(bytes.data() + bytes.size() - 4,
+         crc32(bytes.data(), bytes.size() - 4), 4);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
 TEST(Checkpoint, OtherVersionWithValidCrcIsRefused) {
-  // Only the current layout loads: a file stamped version 2 whose CRC
-  // trailer is valid for its bytes must still be refused, not parsed as
-  // an older layout.
-  const std::string path = temp_ckpt_path("fedclust_ckpt_v2.ckpt");
+  // Only the current layout loads: a file stamped with an earlier
+  // version whose CRC trailer is valid for its bytes must still be
+  // refused, not parsed as an older layout. Version 3 is the layout that
+  // still carried per-client comm attribution.
+  const std::string path = temp_ckpt_path("fedclust_ckpt_oldver.ckpt");
   save_checkpoint(sample_checkpoint(), path);
-  std::vector<std::uint8_t> bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  const std::vector<std::uint8_t> saved = read_bytes(path);
+  ASSERT_GT(saved.size(), 12u);
+  for (const std::uint32_t version : {2u, 3u}) {
+    std::vector<std::uint8_t> bytes = saved;
+    put_le(bytes.data() + 4, version, 4);  // the u32 after "FCKP"
+    write_with_valid_crc(path, bytes);
+    // Refused by the version check itself, not by a later misparse.
+    try {
+      load_checkpoint(path);
+      ADD_FAILURE() << "a version-" << version << " checkpoint loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
   }
-  ASSERT_GT(bytes.size(), 12u);
-  // Little-endian u32 fields: the version after "FCKP", the CRC last.
-  const auto put_u32 = [](std::uint8_t* at, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) at[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  };
-  put_u32(bytes.data() + 4, 2);
-  put_u32(bytes.data() + bytes.size() - 4,
-          crc32(bytes.data(), bytes.size() - 4));
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
-  // Refused by the version check itself, not by a later misparse.
-  try {
-    load_checkpoint(path);
-    ADD_FAILURE() << "a version-2 checkpoint loaded";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version 2"),
-              std::string::npos)
-        << e.what();
+  std::filesystem::remove(path);
+}
+
+TEST(Checkpoint, HostileLengthIsATypedError) {
+  // A CRC-valid file whose length field would overflow `len * width`
+  // must fail as a fedclust::Error, never as std::length_error from a
+  // vector sized by the wrapped check.
+  const std::string path = temp_ckpt_path("fedclust_ckpt_hostile.ckpt");
+  const RunCheckpoint ck = sample_checkpoint();
+  save_checkpoint(ck, path);
+  const std::vector<std::uint8_t> saved = read_bytes(path);
+  // magic(4) version(4) next_round(8) seed(8) | labels: u64 n + n * u64 |
+  // cluster_weights: u64 count, then u64 len + floats per vector.
+  const std::size_t labels_at = 24;
+  const std::size_t first_weight_len_at =
+      labels_at + 8 + 8 * ck.labels.size() + 8;
+  const struct {
+    std::size_t offset;
+    std::uint64_t value;  // value * width wraps to 0 in 64 bits
+  } cases[] = {{labels_at, std::uint64_t{1} << 61},
+               {first_weight_len_at, std::uint64_t{1} << 62}};
+  for (const auto& c : cases) {
+    std::vector<std::uint8_t> bytes = saved;
+    put_le(bytes.data() + c.offset, c.value, 8);
+    write_with_valid_crc(path, bytes);
+    EXPECT_THROW(load_checkpoint(path), Error) << "offset " << c.offset;
   }
   std::filesystem::remove(path);
 }
