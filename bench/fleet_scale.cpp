@@ -78,7 +78,8 @@ bench::FleetBenchResult run_stage(std::size_t fleet_size, std::size_t rounds,
       return std::span<const float>(global);
     };
     fl::Federation::FoldResult fr =
-        fed.train_clients_folded(cohort, r, weights_for, topo);
+        fed.train_clients_folded(cohort, r, weights_for, topo, nullptr,
+                                 nullptr, global);
     for (const std::size_t c : fr.contributors) {
       fed.meter_upload(c, fed.model_size());
     }

@@ -101,8 +101,10 @@ void bench_matmul(std::vector<KernelBenchResult>& out) {
 }
 
 void bench_aggregate(std::vector<KernelBenchResult>& out) {
-  // FedAvg server reduction: 16 client updates of 100k weights, the
-  // fused weighted_accumulate kernel both tables implement.
+  // FedAvg server reduction: 16 client updates of 100k weights through
+  // the weighted-mean kernel both tables implement — one call into a
+  // zeroed double accumulator, then the float cast (weighted_average's
+  // serial path).
   const std::size_t num = 16, dim = 100'000;
   std::vector<std::vector<float>> updates(num);
   std::vector<const float*> srcs(num);
@@ -113,14 +115,17 @@ void bench_aggregate(std::vector<KernelBenchResult>& out) {
     for (float& x : updates[u]) x = static_cast<float>(rng.uniform(-1, 1));
     srcs[u] = updates[u].data();
   }
+  std::vector<double> acc(dim);
   std::vector<float> result(dim);
   const double flops = 2.0 * static_cast<double>(num) *
                        static_cast<double>(dim);
   const char* tag = "16x100000";
   const auto run = [&](const ops::KernelTable& t) {
     return time_ms([&] {
-      t.weighted_accumulate(srcs.data(), coeff.data(), num, result.data(), 0,
-                            dim);
+      std::fill(acc.begin(), acc.end(), 0.0);
+      t.weighted_accumulate_partial(srcs.data(), coeff.data(), num,
+                                    acc.data(), 0, dim);
+      std::copy(acc.begin(), acc.end(), result.begin());
     });
   };
   const double scalar = run(ops::scalar_kernels());

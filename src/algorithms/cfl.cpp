@@ -32,41 +32,30 @@ double Cfl::sync_round(fl::Federation& federation, std::size_t round_index) {
   for (std::size_t cid : participants) {
     federation.meter_download(cid, federation.model_size());
   }
-  const std::vector<fl::ClientUpdate> updates = federation.train_clients(
+  std::vector<fl::ClientUpdate> updates = federation.train_clients(
       participants, round_index, [&](std::size_t cid) {
         return std::span<const float>(cluster_weights_[labels_[cid]]);
       });
 
-  // Collect per-cluster update vectors Δ_i = w_i - w_cluster before the
-  // aggregation overwrites the cluster weights.
-  std::vector<std::vector<const fl::ClientUpdate*>> by_cluster(
-      cluster_weights_.size());
+  // Collect per-cluster members and update vectors Δ_i = w_i - w_cluster
+  // before the aggregation overwrites the cluster weights.
+  std::vector<std::vector<std::size_t>> members(cluster_weights_.size());
+  std::vector<std::vector<std::vector<float>>> deltas(cluster_weights_.size());
   double loss_sum = 0.0;
   for (const fl::ClientUpdate& u : updates) {
     federation.meter_upload(u.client_id, federation.model_size());
     loss_sum += u.train_loss;
-    by_cluster[labels_[u.client_id]].push_back(&u);
-  }
-
-  std::vector<std::vector<std::vector<float>>> deltas(cluster_weights_.size());
-  for (std::size_t c = 0; c < by_cluster.size(); ++c) {
-    for (const fl::ClientUpdate* u : by_cluster[c]) {
-      std::vector<float> d(u->weights.size());
-      for (std::size_t i = 0; i < d.size(); ++i) {
-        d[i] = u->weights[i] - cluster_weights_[c][i];
-      }
-      deltas[c].push_back(std::move(d));
+    const std::size_t c = labels_[u.client_id];
+    members[c].push_back(u.client_id);
+    std::vector<float> d(u.weights.size());
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      d[i] = u.weights[i] - cluster_weights_[c][i];
     }
+    deltas[c].push_back(std::move(d));
   }
-
-  // Standard per-cluster aggregation.
-  for (std::size_t c = 0; c < by_cluster.size(); ++c) {
-    if (by_cluster[c].empty()) continue;
-    std::vector<fl::ClientUpdate> tmp;
-    tmp.reserve(by_cluster[c].size());
-    for (const fl::ClientUpdate* u : by_cluster[c]) tmp.push_back(*u);
-    cluster_weights_[c] = federation.aggregate(tmp, cluster_weights_[c]);
-  }
+  const std::size_t arrived = updates.size();
+  aggregate_by_cluster(federation, std::move(updates), labels_,
+                       cluster_weights_);
 
   // Split check per cluster (Sattler's eps1/eps2 criterion).
   if (round_index >= config_.warmup_rounds) {
@@ -97,9 +86,9 @@ double Cfl::sync_round(fl::Federation& federation, std::size_t round_index) {
       // model starts from the (already aggregated) parent weights.
       const std::size_t new_cluster = cluster_weights_.size();
       bool any_moved = false;
-      for (std::size_t m = 0; m < by_cluster[c].size(); ++m) {
+      for (std::size_t m = 0; m < members[c].size(); ++m) {
         if (split[m] == 1) {
-          labels_[by_cluster[c][m]->client_id] = new_cluster;
+          labels_[members[c][m]] = new_cluster;
           any_moved = true;
         }
       }
@@ -109,8 +98,7 @@ double Cfl::sync_round(fl::Federation& federation, std::size_t round_index) {
     }
   }
 
-  return updates.empty() ? 0.0
-                         : loss_sum / static_cast<double>(updates.size());
+  return arrived == 0 ? 0.0 : loss_sum / static_cast<double>(arrived);
 }
 
 fl::AccuracySummary Cfl::evaluate(const fl::Federation& federation) const {

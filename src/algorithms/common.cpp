@@ -25,7 +25,7 @@ double per_cluster_fedavg_round(
     federation.meter_download(cid, federation.model_size());
   }
 
-  const std::vector<fl::ClientUpdate> updates = federation.train_clients(
+  std::vector<fl::ClientUpdate> updates = federation.train_clients(
       participants, round,
       [&](std::size_t cid) {
         return std::span<const float>(cluster_weights[labels[cid]]);
@@ -37,21 +37,25 @@ double per_cluster_fedavg_round(
     federation.meter_upload(u.client_id, federation.model_size());
     loss_sum += u.train_loss;
   }
+  const std::size_t arrived = updates.size();
+  aggregate_by_cluster(federation, std::move(updates), labels,
+                       cluster_weights);
+  return arrived == 0 ? 0.0 : loss_sum / static_cast<double>(arrived);
+}
 
-  // Group this round's updates by cluster and average.
-  std::vector<std::vector<fl::ClientUpdate>> by_cluster(
-      cluster_weights.size());
-  for (const fl::ClientUpdate& u : updates) {
-    by_cluster[labels[u.client_id]].push_back(u);
+void aggregate_by_cluster(fl::Federation& federation,
+                          std::vector<fl::ClientUpdate>&& updates,
+                          const std::vector<std::size_t>& labels,
+                          std::vector<std::vector<float>>& models) {
+  std::vector<std::vector<fl::ClientUpdate>> by_cluster(models.size());
+  for (fl::ClientUpdate& u : updates) {
+    by_cluster[labels[u.client_id]].push_back(std::move(u));
   }
   for (std::size_t c = 0; c < by_cluster.size(); ++c) {
     if (!by_cluster[c].empty()) {
-      cluster_weights[c] = federation.aggregate(by_cluster[c],
-                                                cluster_weights[c]);
+      models[c] = federation.aggregate(by_cluster[c], models[c]);
     }
   }
-  return updates.empty() ? 0.0
-                         : loss_sum / static_cast<double>(updates.size());
 }
 
 fl::AccuracySummary evaluate_clustered(

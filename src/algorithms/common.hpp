@@ -29,6 +29,16 @@ double per_cluster_fedavg_round(
     std::vector<std::vector<float>>& cluster_weights,
     const fl::LocalTrainConfig* config_override = nullptr);
 
+/// Replaces each cluster's model with the aggregate of its members'
+/// updates: moves the slot-ordered `updates` into their cluster groups
+/// (labels[client_id]) and runs federation.aggregate on every non-empty
+/// group against that cluster's pre-round model. Clusters without an
+/// update keep their model.
+void aggregate_by_cluster(fl::Federation& federation,
+                          std::vector<fl::ClientUpdate>&& updates,
+                          const std::vector<std::size_t>& labels,
+                          std::vector<std::vector<float>>& models);
+
 /// Per-client accuracy where each client is evaluated on its cluster's
 /// model.
 fl::AccuracySummary evaluate_clustered(

@@ -64,7 +64,7 @@ double Ifca::sync_round(fl::Federation& federation, std::size_t round_index) {
   }
 
   // Local training on the chosen model.
-  const std::vector<fl::ClientUpdate> updates = federation.train_clients(
+  std::vector<fl::ClientUpdate> updates = federation.train_clients(
       participants, round_index,
       [&](std::size_t cid) {
         return std::span<const float>(models_[labels_[cid]]);
@@ -72,19 +72,13 @@ double Ifca::sync_round(fl::Federation& federation, std::size_t round_index) {
       nullptr, /*allow_failures=*/true, &payloads);
 
   double loss_sum = 0.0;
-  std::vector<std::vector<fl::ClientUpdate>> by_cluster(models_.size());
   for (const fl::ClientUpdate& u : updates) {
     federation.meter_upload(u.client_id, federation.model_size());
     loss_sum += u.train_loss;
-    by_cluster[labels_[u.client_id]].push_back(u);
   }
-  for (std::size_t k = 0; k < models_.size(); ++k) {
-    if (!by_cluster[k].empty()) {
-      models_[k] = federation.aggregate(by_cluster[k], models_[k]);
-    }
-  }
-  return updates.empty() ? 0.0
-                         : loss_sum / static_cast<double>(updates.size());
+  const std::size_t arrived = updates.size();
+  aggregate_by_cluster(federation, std::move(updates), labels_, models_);
+  return arrived == 0 ? 0.0 : loss_sum / static_cast<double>(arrived);
 }
 
 fl::AccuracySummary Ifca::evaluate(const fl::Federation& federation) const {

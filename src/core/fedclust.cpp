@@ -22,6 +22,15 @@ namespace {
 /// independent of the same (client, round) training-round stream.
 constexpr std::uint64_t kNewcomerWarmupTag = 0x7d10;
 
+/// The local-training config of FedClust's warmup (formation, retries,
+/// re-anchors and newcomers): `local` with warmup_epochs when set.
+fl::LocalTrainConfig warmup_config(const fl::LocalTrainConfig& local,
+                                   const FedClustConfig& config) {
+  fl::LocalTrainConfig warmup = local;
+  if (config.warmup_epochs > 0) warmup.epochs = config.warmup_epochs;
+  return warmup;
+}
+
 /// Mean per-client accuracy by cluster; NaN for clusters with no finite
 /// member entry (empty, or every member departed — their per_client
 /// slots are NaN under a drift plan), which freezes the detector window.
@@ -69,8 +78,8 @@ PartialReports solicit_partials(fl::Federation& federation,
   const std::vector<nn::ParamSlice> slices =
       resolve_partial_slices(tmpl, config.partial_spec);
   const std::vector<float> init_weights = tmpl.flat_weights();
-  fl::LocalTrainConfig warmup = federation.config().local;
-  if (config.warmup_epochs > 0) warmup.epochs = config.warmup_epochs;
+  const fl::LocalTrainConfig warmup =
+      warmup_config(federation.config().local, config);
   PartialReports out;
   out.slice_floats = slices_numel(slices);
   const fl::NetPayloads payloads{federation.model_size(), out.slice_floats,
@@ -343,28 +352,8 @@ ClusteringOutcome FedClust::formation_phase(
   // This still happens inside round 0, so its traffic is metered — and
   // simulated — before the round-0 snapshot.
   for (const std::size_t cid : outcome.deferred) {
-    fl::LocalTrainConfig warmup = federation.config().local;
-    if (config_.warmup_epochs > 0) warmup.epochs = config_.warmup_epochs;
-    const std::vector<net::ClientOp> ops{
-        {.client = cid,
-         .download_floats = federation.model_size(),
-         .upload_floats = partial_floats,
-         .num_samples = federation.client_train_size(cid),
-         .epochs = warmup.epochs,
-         .churned = false,
-         .upload_kind = net::MessageKind::kPartialUpdate,
-         .download_bytes =
-             federation.codec_download_op_bytes(federation.model_size())}};
-    federation.simulate_network_round(0, ops, /*reliable=*/true);
-    federation.meter_download(cid, federation.model_size());
-    federation.meter_upload(cid, partial_floats);
-    std::vector<float> partial;
-    labels[cid] = assign_newcomer(
-        federation.template_model(), federation.client_data(cid)->train,
-        federation.config().local, federation.client_rng(cid, 0), outcome,
-        &partial);
-    outcome.partial_weights[cid] = std::move(partial);
-    outcome.labels[cid] = labels[cid];
+    labels[cid] = admit_newcomer(federation, outcome, cid, /*round=*/0,
+                                 federation.client_rng(cid, 0));
   }
 
   {
@@ -471,38 +460,12 @@ void FedClust::admit_churn(fl::Federation& federation, std::size_t round) {
     }
   }
 
-  const std::vector<std::size_t> arrivals = plan->arrivals_at(round);
-  if (arrivals.empty()) return;
-  const std::size_t partial_floats = slices_numel(resolve_partial_slices(
-      federation.template_model(), config_.partial_spec));
-  fl::LocalTrainConfig warmup = federation.config().local;
-  if (config_.warmup_epochs > 0) warmup.epochs = config_.warmup_epochs;
-  for (const std::size_t slot : arrivals) {
-    // The paper's real-time accommodation, verbatim from the deferred
-    // path of formation_phase: solo warmup from the initial model (a
-    // reliable exchange — the newcomer has no deadline to miss), then
-    // nearest-cluster routing over the stored anchors.
-    const std::vector<net::ClientOp> ops{
-        {.client = slot,
-         .download_floats = federation.model_size(),
-         .upload_floats = partial_floats,
-         .num_samples = federation.client_train_size(slot),
-         .epochs = warmup.epochs,
-         .churned = false,
-         .upload_kind = net::MessageKind::kPartialUpdate,
-         .download_bytes =
-             federation.codec_download_op_bytes(federation.model_size())}};
-    federation.simulate_network_round(round, ops, /*reliable=*/true);
-    federation.meter_download(slot, federation.model_size());
-    federation.meter_upload(slot, partial_floats);
-    std::vector<float> partial;
-    labels_[slot] = assign_newcomer(
-        federation.template_model(), federation.client_data(slot)->train,
-        federation.config().local,
-        federation.client_rng(slot, round).split(kNewcomerWarmupTag), outcome,
-        &partial);
-    outcome.partial_weights[slot] = std::move(partial);
-    outcome.labels[slot] = labels_[slot];
+  for (const std::size_t slot : plan->arrivals_at(round)) {
+    // The paper's real-time accommodation, the deferred path of
+    // formation_phase.
+    labels_[slot] = admit_newcomer(
+        federation, outcome, slot, round,
+        federation.client_rng(slot, round).split(kNewcomerWarmupTag));
     if (detector_) {
       detector_->note(round, fl::DriftLogKind::kArrival, slot,
                       static_cast<double>(labels_[slot]));
@@ -627,6 +590,37 @@ fl::RunResult FedClust::resume(fl::Federation& federation,
   return fl::resume_synchronized(federation, *this, checkpoint, rounds);
 }
 
+std::size_t FedClust::admit_newcomer(fl::Federation& federation,
+                                     ClusteringOutcome& outcome,
+                                     std::size_t slot, std::size_t round,
+                                     Rng rng) const {
+  // Solo warmup from the initial model (a reliable exchange — the
+  // newcomer has no deadline to miss: full model down, partial up), then
+  // nearest-cluster routing over the stored anchors.
+  const std::size_t partial_floats = slices_numel(resolve_partial_slices(
+      federation.template_model(), config_.partial_spec));
+  const std::vector<net::ClientOp> ops{
+      {.client = slot,
+       .download_floats = federation.model_size(),
+       .upload_floats = partial_floats,
+       .num_samples = federation.client_train_size(slot),
+       .epochs = warmup_config(federation.config().local, config_).epochs,
+       .churned = false,
+       .upload_kind = net::MessageKind::kPartialUpdate,
+       .download_bytes =
+           federation.codec_download_op_bytes(federation.model_size())}};
+  federation.simulate_network_round(round, ops, /*reliable=*/true);
+  federation.meter_download(slot, federation.model_size());
+  federation.meter_upload(slot, partial_floats);
+  std::vector<float> partial;
+  const std::size_t label = assign_newcomer(
+      federation.template_model(), federation.client_data(slot)->train,
+      federation.config().local, rng, outcome, &partial);
+  outcome.partial_weights[slot] = std::move(partial);
+  outcome.labels[slot] = label;
+  return label;
+}
+
 std::size_t FedClust::assign_newcomer(
     const nn::Model& template_model, const data::Dataset& newcomer_train,
     const fl::LocalTrainConfig& local_config, Rng rng,
@@ -636,10 +630,9 @@ std::size_t FedClust::assign_newcomer(
 
   // The newcomer repeats the formation protocol solo: train from the
   // initial global model, extract the same partial slice.
-  fl::LocalTrainConfig warmup = local_config;
-  if (config_.warmup_epochs > 0) warmup.epochs = config_.warmup_epochs;
   nn::Model model = template_model.clone();
-  fl::train_local(model, newcomer_train, warmup, rng);
+  fl::train_local(model, newcomer_train, warmup_config(local_config, config_),
+                  rng);
 
   const std::vector<nn::ParamSlice> slices =
       resolve_partial_slices(template_model, config_.partial_spec);

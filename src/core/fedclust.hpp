@@ -231,6 +231,13 @@ class FedClust : public fl::Algorithm {
   /// their stored anchor, newcomers run the paper's solo warmup and are
   /// routed to the nearest cluster (reliably simulated + metered).
   void admit_churn(fl::Federation& federation, std::size_t round);
+  /// One newcomer exchange, shared by formation's deferred clients and
+  /// churn arrivals: the reliable network op (full model down, partial
+  /// up), its metering, assign_newcomer with `rng`, and the partial and
+  /// label stored in `outcome`. Returns the assigned cluster.
+  std::size_t admit_newcomer(fl::Federation& federation,
+                             ClusteringOutcome& outcome, std::size_t slot,
+                             std::size_t round, Rng rng) const;
   /// Alarm response: re-solicit fresh anchors from the flagged clusters'
   /// active members, repair the partition via cluster::recluster, remap
   /// the server models along the parent mapping, reset the detector.

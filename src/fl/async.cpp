@@ -504,7 +504,7 @@ class BufferedScheduler {
 
     // Staleness-weighted mixing coefficients over the survivors:
     // c_i ∝ num_samples_i x λ(s_i), normalized. At unit staleness this
-    // is exactly aggregation_coefficients — the sync special case.
+    // is exactly FedAvg's num_samples / total — the sync special case.
     std::vector<ClientUpdate> kept;
     std::vector<double> coeff;
     kept.reserve(batch.size());
@@ -527,8 +527,8 @@ class BufferedScheduler {
     double mean_loss = 0.0;
     if (!kept.empty()) {
       for (double& w : coeff) w /= total;
-      std::vector<float> mixed = fed_.aggregate_weighted(
-          kept, coeff, algo_.cluster_model(cluster));
+      std::vector<float> mixed =
+          fed_.aggregate(kept, algo_.cluster_model(cluster), coeff);
       // Staleness-spike LR decay: when the kept batch's mean staleness
       // crosses the knob, only move lr_decay of the way toward the
       // aggregate. Stateless, so checkpoints need no new fields; at

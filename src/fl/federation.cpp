@@ -19,7 +19,7 @@
 namespace fedclust::fl {
 namespace {
 
-/// Dimension-chunked dispatch of the flat weighted_accumulate reduction.
+/// Dimension-chunked dispatch of the flat weighted-mean reduction.
 /// Chunk boundaries are rounded up to ops::kChunkAlign so every element
 /// keeps the same vector-lane membership no matter how many workers split
 /// the range — the result stays bit-identical across thread counts.
@@ -53,6 +53,38 @@ void audit_update(const ClientUpdate& u, std::size_t round) {
   check::assert_all_finite(u.weights, context.c_str());
   FEDCLUST_CHECK(std::isfinite(u.train_loss),
                  context << ": non-finite train loss " << u.train_loss);
+}
+
+/// The weighted mean's one finalize, shared by the flat mean and the
+/// fold: each double accumulator rounds once (IEEE round-to-nearest) to
+/// float.
+std::vector<float> narrow(const std::vector<double>& acc) {
+  return std::vector<float>(acc.begin(), acc.end());
+}
+
+/// FedAvg's normalized coefficients (num_samples / total, accumulated in
+/// the given order) — what weighted_average and the edge fold apply.
+std::vector<double> aggregation_coefficients(
+    std::span<const std::size_t> num_samples) {
+  double total = 0.0;
+  for (const std::size_t n : num_samples) {
+    FEDCLUST_REQUIRE(n > 0, "update with zero samples");
+    total += static_cast<double>(n);
+  }
+  std::vector<double> coeff(num_samples.size());
+  for (std::size_t u = 0; u < num_samples.size(); ++u) {
+    coeff[u] = static_cast<double>(num_samples[u]) / total;
+  }
+  return coeff;
+}
+
+/// FedAvg coefficients of an update list.
+std::vector<double> sample_coefficients(
+    const std::vector<ClientUpdate>& updates) {
+  std::vector<std::size_t> samples;
+  samples.reserve(updates.size());
+  for (const ClientUpdate& u : updates) samples.push_back(u.num_samples);
+  return aggregation_coefficients(samples);
 }
 
 }  // namespace
@@ -122,7 +154,7 @@ Federation::Federation(nn::Model template_model,
     // broadcast instead of toward the honest majority. Norm-clip keeps
     // its semantics (it clips the whole delta, dense or sparse), so fall
     // back to it rather than silently computing a biased statistic.
-    // Trimmed mean is NOT guarded anymore: aggregate_weighted dispatches
+    // Trimmed mean is NOT guarded anymore: aggregate() dispatches
     // it to robust::sparse_trimmed_mean, which trims per coordinate over
     // the updates that actually shipped that coordinate.
     if (config_.compression.upload == compress::CodecKind::kTopK &&
@@ -646,13 +678,24 @@ Federation::FoldResult Federation::train_clients_folded(
     const std::function<std::span<const float>(std::size_t)>&
         start_weights_for,
     const net::EdgeTopology& topology, const LocalTrainConfig* config_override,
-    const NetPayloads* net_payloads) {
+    const NetPayloads* net_payloads, std::span<const float> reference) {
   FoldResult out;
 
-  // Robust rules and server-side screening both need the whole cohort's
-  // updates at once — gather at root (see the header's memory note).
-  if (config_.robust.rule != robust::AggregationRule::kWeightedMean ||
-      config_.robust.validate.enabled) {
+  // The fold streams only aggregate()'s plain weighted-mean branch. Other
+  // rules (robust statistics, the sign-SGD vote) and server-side
+  // screening need the whole cohort's updates at once — gather at root
+  // (see the header's memory note) and aggregate like the sync round.
+  if (!plain_weighted_mean() || config_.robust.validate.enabled) {
+    const bool sign_vote =
+        config_.robust.rule == robust::AggregationRule::kWeightedMean &&
+        !plain_weighted_mean();
+    FEDCLUST_REQUIRE(
+        !reference.empty(),
+        "the edge fold gathers at root under rule "
+            << robust::to_string(config_.robust.rule)
+            << (sign_vote ? " with sign-SGD uploads" : "")
+            << (config_.robust.validate.enabled ? " with validation" : "")
+            << " and needs the pre-round model as its reference");
     std::vector<ClientUpdate> updates =
         train_clients(clients, round, start_weights_for, config_override,
                       /*allow_failures=*/true, net_payloads);
@@ -665,7 +708,7 @@ Federation::FoldResult Federation::train_clients_folded(
       loss_sum += u.train_loss;
     }
     out.mean_train_loss = loss_sum / static_cast<double>(updates.size());
-    out.weights = aggregate(updates);
+    out.weights = aggregate(updates, reference);
     return out;
   }
 
@@ -678,16 +721,12 @@ Federation::FoldResult Federation::train_clients_folded(
   if (cohort == 0) return out;
 
   // FedAvg coefficients over the WHOLE cohort, from the cheap train_size
-  // metadata — value-identical to aggregation_coefficients over the flat
-  // update list (ClientUpdate::num_samples is the same train size).
-  std::vector<double> coeff(cohort);
-  double total = 0.0;
+  // metadata (ClientUpdate::num_samples is the same train size).
+  std::vector<std::size_t> samples(cohort);
   for (std::size_t i = 0; i < cohort; ++i) {
-    coeff[i] = static_cast<double>(source_->train_size(out.contributors[i]));
-    FEDCLUST_REQUIRE(coeff[i] > 0.0, "update with zero samples");
-    total += coeff[i];
+    samples[i] = source_->train_size(out.contributors[i]);
   }
-  for (double& c : coeff) c /= total;
+  const std::vector<double> coeff = aggregation_coefficients(samples);
 
   // The fold sink folds every update into ONE shared double accumulator
   // in ascending slot order — the edge tree's fold order, since edges own
@@ -695,7 +734,7 @@ Federation::FoldResult Federation::train_clients_folded(
   // s < folded + window, so resident updates are O(window × model);
   // whichever runner finishes a slot while nobody else is folding folds
   // every contiguous ready slot. Per element, the fold executes the exact
-  // operation sequence of the one-shot weighted_accumulate kernel (fold
+  // operation sequence of weighted_average's single kernel call (fold
   // boundaries only park the accumulator in memory, and a full-range call
   // equals the kChunkAlign-chunked one), so ANY edge count and ANY worker
   // count reproduce flat aggregation bit-for-bit. The fold runs inside a
@@ -774,12 +813,7 @@ Federation::FoldResult Federation::train_clients_folded(
                                                            << cohort);
   out.mean_train_loss = loss_sum / static_cast<double>(cohort);
 
-  // Finalize: the double→float cast is the same IEEE round-to-nearest
-  // the one-shot kernel's narrow/cast performs.
-  out.weights.resize(model_size_);
-  for (std::size_t i = 0; i < model_size_; ++i) {
-    out.weights[i] = static_cast<float>(acc[i]);
-  }
+  out.weights = narrow(acc);
   if (config_.audit) {
     check::assert_all_finite(out.weights, "folded aggregation output");
   }
@@ -853,7 +887,8 @@ AccuracySummary Federation::evaluate_cohort(
 }
 
 std::vector<float> weighted_average(const std::vector<ClientUpdate>& updates,
-                                    ThreadPool* pool) {
+                                    ThreadPool* pool,
+                                    const std::vector<double>& coefficients) {
   // Guard before touching updates.front(): averaging nothing is a caller
   // bug (e.g. aggregating a round in which every client dropped out or
   // straggled past the deadline) and must fail loudly, not read past the
@@ -862,18 +897,9 @@ std::vector<float> weighted_average(const std::vector<ClientUpdate>& updates,
                    "weighted_average over zero updates — no client update "
                    "survived the round; callers must skip aggregation for "
                    "empty rounds");
-  return weighted_average_with(updates, aggregation_coefficients(updates),
-                               pool);
-}
-
-std::vector<float> weighted_average_with(
-    const std::vector<ClientUpdate>& updates,
-    const std::vector<double>& coefficients, ThreadPool* pool) {
-  FEDCLUST_REQUIRE(!updates.empty(),
-                   "weighted_average over zero updates — no client update "
-                   "survived the round; callers must skip aggregation for "
-                   "empty rounds");
-  FEDCLUST_REQUIRE(coefficients.size() == updates.size(),
+  const std::vector<double> coeff =
+      coefficients.empty() ? sample_coefficients(updates) : coefficients;
+  FEDCLUST_REQUIRE(coeff.size() == updates.size(),
                    "one mixing coefficient per update");
   const std::size_t dim = updates.front().weights.size();
   const std::size_t n = updates.size();
@@ -881,135 +907,101 @@ std::vector<float> weighted_average_with(
     FEDCLUST_REQUIRE(u.weights.size() == dim,
                      "update size mismatch in weighted_average");
   }
-  const std::vector<double>& coeff = coefficients;
 
-  // Fused single pass through the dispatched weighted_accumulate kernel:
-  // each output element is reduced across updates in double and written
-  // once — no dim-sized double temporary, one sweep over every update's
-  // memory.
-  std::vector<float> out(dim);
+  // One pass of the weighted-mean kernel into a zeroed double
+  // accumulator: each element is reduced across updates in ascending
+  // order — the fold's per-element sequence — and rounded once.
+  std::vector<double> acc(dim, 0.0);
   std::vector<const float*> srcs(n);
   for (std::size_t u = 0; u < n; ++u) srcs[u] = updates[u].weights.data();
   const ops::KernelTable* kp = &ops::kernels();
   chunked_reduce(dim, pool, [&](std::size_t begin, std::size_t end) {
-    kp->weighted_accumulate(srcs.data(), coeff.data(), n, out.data(), begin,
-                            end);
+    kp->weighted_accumulate_partial(srcs.data(), coeff.data(), n, acc.data(),
+                                    begin, end);
   });
-  return out;
+  return narrow(acc);
 }
 
-std::vector<double> aggregation_coefficients(
-    const std::vector<ClientUpdate>& updates) {
-  double total = 0.0;
-  for (const ClientUpdate& u : updates) {
-    FEDCLUST_REQUIRE(u.num_samples > 0, "update with zero samples");
-    total += static_cast<double>(u.num_samples);
-  }
-  std::vector<double> coeff(updates.size());
-  for (std::size_t u = 0; u < updates.size(); ++u) {
-    coeff[u] = static_cast<double>(updates[u].num_samples) / total;
-  }
-  return coeff;
+bool Federation::plain_weighted_mean() const {
+  return config_.robust.rule == robust::AggregationRule::kWeightedMean &&
+         (up_codec_ == nullptr ||
+          up_codec_->kind() != compress::CodecKind::kSignSgd);
 }
 
 std::vector<float> Federation::aggregate(
-    const std::vector<ClientUpdate>& updates,
-    std::span<const float> reference) {
-  return aggregate_weighted(updates, aggregation_coefficients(updates),
-                            reference);
-}
-
-std::vector<float> Federation::aggregate_weighted(
-    const std::vector<ClientUpdate>& updates,
-    const std::vector<double>& coefficients, std::span<const float> reference) {
-  FEDCLUST_REQUIRE(coefficients.size() == updates.size(),
+    const std::vector<ClientUpdate>& updates, std::span<const float> reference,
+    const std::vector<double>& coefficients) {
+  FEDCLUST_REQUIRE(!updates.empty(),
+                   "aggregate over zero updates — no client update survived "
+                   "the round; callers must skip aggregation for empty "
+                   "rounds");
+  FEDCLUST_REQUIRE(reference.size() == model_size_,
+                   "aggregate needs the pre-round model as its reference ("
+                       << reference.size() << " floats, model has "
+                       << model_size_ << ")");
+  const std::vector<double> coeff =
+      coefficients.empty() ? sample_coefficients(updates) : coefficients;
+  FEDCLUST_REQUIRE(coeff.size() == updates.size(),
                    "one mixing coefficient per update");
-  // Sign-SGD pairs with its own aggregation rule: a decoded sign update
-  // is reference ± per-tensor scale, and averaging those directly wastes
-  // the 1-bit structure. Per coordinate the clients VOTE — the result
-  // moves from the reference in the majority direction by the weighted
-  // mean magnitude. The vote needs the reference as the clients saw it
-  // (decoded through the download codec), so both sides of the ± agree
-  // bit-for-bit. Only the plain weighted-mean rule is replaced; robust
-  // rules keep their order-statistic semantics over the decoded values.
-  if (config_.robust.rule == robust::AggregationRule::kWeightedMean &&
-      up_codec_ != nullptr &&
-      up_codec_->kind() == compress::CodecKind::kSignSgd &&
-      !reference.empty() && !updates.empty()) {
-    FEDCLUST_REQUIRE(reference.size() == model_size_,
-                     "sign-SGD vote needs the full pre-round model");
-    for (const ClientUpdate& u : updates) {
-      FEDCLUST_REQUIRE(u.weights.size() == model_size_,
-                       "update size mismatch in sign-SGD vote");
-    }
-    const std::vector<float> ref_eff = download_roundtrip(reference);
-    const std::vector<double>& coeff = coefficients;
-    std::vector<const float*> srcs(updates.size());
-    for (std::size_t u = 0; u < updates.size(); ++u) {
-      srcs[u] = updates[u].weights.data();
-    }
-    std::vector<float> out(model_size_);
-    compress::signsgd_majority_vote(srcs.data(), coeff.data(), updates.size(),
-                                    ref_eff.data(), out.data(), model_size_);
-    if (config_.audit) {
-      // The vote's output anchors on the reference, which need not lie
-      // in the updates' convex envelope — check finiteness only (like
-      // the robust rules below).
-      check::assert_all_finite(out, "sign-SGD majority-vote output");
-    }
-    return out;
-  }
-  if (config_.robust.rule == robust::AggregationRule::kWeightedMean) {
-    std::vector<float> out =
-        weighted_average_with(updates, coefficients, aggregation_pool());
-    if (config_.audit) {
-      std::vector<std::span<const float>> inputs;
-      inputs.reserve(updates.size());
-      for (const ClientUpdate& u : updates) inputs.emplace_back(u.weights);
-      check::audit_aggregation(inputs, coefficients, out);
-    }
-    return out;
-  }
   std::vector<std::span<const float>> inputs;
   inputs.reserve(updates.size());
   for (const ClientUpdate& u : updates) inputs.emplace_back(u.weights);
-  // Sparse-aware trimmed mean over top-k frames: a decoded top-k update
-  // equals the broadcast in every coordinate it did not ship, so the
-  // trim runs per coordinate over the updates that actually shipped it
-  // (anything else drowns the order statistic in reference copies — the
-  // bias the old norm-clip fallback guarded against). The fill must be
-  // the broadcast AS THE CLIENTS SAW IT, i.e. download-codec decoded,
-  // so "not shipped" detection is bit-exact.
-  if (config_.robust.rule == robust::AggregationRule::kTrimmedMean &&
-      up_codec_ != nullptr &&
-      up_codec_->kind() == compress::CodecKind::kTopK &&
-      !reference.empty() && !updates.empty()) {
-    FEDCLUST_REQUIRE(reference.size() == model_size_,
-                     "sparse trimmed mean needs the full pre-round model");
-    bool whole_models = true;
-    for (const ClientUpdate& u : updates) {
-      whole_models = whole_models && u.weights.size() == model_size_;
-    }
-    if (whole_models) {
-      const std::vector<float> ref_rt = download_roundtrip(reference);
-      const std::span<const float> fill =
-          ref_rt.empty() ? reference : std::span<const float>(ref_rt);
-      std::vector<float> out = robust::sparse_trimmed_mean(
-          inputs, config_.robust.trim_frac, fill, aggregation_pool());
-      if (config_.audit) {
-        check::assert_all_finite(out, "sparse trimmed-mean output");
-      }
-      return out;
-    }
+
+  if (plain_weighted_mean()) {
+    std::vector<float> out =
+        weighted_average(updates, aggregation_pool(), coeff);
+    if (config_.audit) check::audit_aggregation(inputs, coeff, out);
+    return out;
   }
-  std::vector<float> out = robust::robust_aggregate(
-      inputs, coefficients, config_.robust.rule, config_.robust, reference,
-      aggregation_pool());
+  std::vector<float> out;
+  if (config_.robust.rule == robust::AggregationRule::kWeightedMean) {
+    // Sign-SGD pairs with its own aggregation rule: a decoded sign update
+    // is reference ± per-tensor scale, and averaging those directly
+    // wastes the 1-bit structure. Per coordinate the clients VOTE — the
+    // result moves from the reference in the majority direction by the
+    // weighted mean magnitude. The vote needs the reference as the
+    // clients saw it (decoded through the download codec), so both sides
+    // of the ± agree bit-for-bit. Only the plain weighted-mean rule is
+    // replaced; robust rules keep their order-statistic semantics over
+    // the decoded values.
+    std::vector<const float*> srcs;
+    srcs.reserve(updates.size());
+    for (const ClientUpdate& u : updates) {
+      FEDCLUST_REQUIRE(u.weights.size() == model_size_,
+                       "update size mismatch in sign-SGD vote");
+      srcs.push_back(u.weights.data());
+    }
+    const std::vector<float> ref_eff = download_roundtrip(reference);
+    out.resize(model_size_);
+    compress::signsgd_majority_vote(srcs.data(), coeff.data(), updates.size(),
+                                    ref_eff.data(), out.data(), model_size_);
+  } else if (config_.robust.rule == robust::AggregationRule::kTrimmedMean &&
+             up_codec_ != nullptr &&
+             up_codec_->kind() == compress::CodecKind::kTopK) {
+    // Sparse-aware trimmed mean over top-k frames: a decoded top-k update
+    // equals the broadcast in every coordinate it did not ship, so the
+    // trim runs per coordinate over the updates that actually shipped it
+    // (anything else drowns the order statistic in reference copies —
+    // the bias the old norm-clip fallback guarded against). The fill
+    // must be the broadcast AS THE CLIENTS SAW IT, i.e. download-codec
+    // decoded, so "not shipped" detection is bit-exact.
+    for (const ClientUpdate& u : updates) {
+      FEDCLUST_REQUIRE(u.weights.size() == model_size_,
+                       "update size mismatch in sparse trimmed mean");
+    }
+    out = robust::sparse_trimmed_mean(inputs, config_.robust.trim_frac,
+                                      download_roundtrip(reference),
+                                      aggregation_pool());
+  } else {
+    out = robust::robust_aggregate(inputs, coeff, config_.robust.rule,
+                                   config_.robust, reference,
+                                   aggregation_pool());
+  }
   if (config_.audit) {
-    // The convex-envelope audit is specific to the weighted mean (a
-    // norm-clipped output lives in the hull of {reference, inputs}, not
-    // of the inputs alone); for robust rules check finiteness only.
-    check::assert_all_finite(out, "robust aggregation output");
+    // The convex-envelope audit is specific to the weighted mean (the
+    // vote anchors on the reference, a norm-clipped output lives in the
+    // hull of {reference, inputs}); check finiteness only.
+    check::assert_all_finite(out, "aggregation output");
   }
   return out;
 }

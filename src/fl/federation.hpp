@@ -331,31 +331,37 @@ class Federation {
   /// survivor slots in ascending order; finished updates wait in a
   /// slot-indexed ring, and whichever runner finishes a slot while no
   /// other is folding folds every contiguous ready slot into one shared
-  /// slot-ordered double accumulator (ops::weighted_accumulate_partial).
+  /// slot-ordered double accumulator (ops::weighted_accumulate_partial,
+  /// the kernel aggregate()'s weighted-mean branch runs in one call).
   /// Edges own contiguous ascending slot ranges, so slot order is the
-  /// tree's fold order. Under the default kWeightedMean rule the result
-  /// is bit-identical to train_clients + aggregate for ANY
-  /// topology.num_edges and any worker count (every element sees the
-  /// identical operation sequence). Churn, network fate, faults, codecs,
-  /// audits, and metering behave exactly like train_clients
-  /// (allow_failures = true), including which client a failure names.
+  /// tree's fold order. Under every rule and codec the result is
+  /// bit-identical to the sync round, train_clients + aggregate(updates,
+  /// reference), for ANY topology.num_edges and any worker count. Churn,
+  /// network fate, faults, codecs, audits, and metering behave exactly
+  /// like train_clients (allow_failures = true), including which client
+  /// a failure names.
   ///
   /// MEMORY NOTE: resident updates are bounded by the ring's window of
   /// max(4 × pool workers, 8) slots (16 at 4 workers): a runner starts
   /// slot s only while s < folded + window. train_clients_into with a
   /// slice-keeping sink (FedClust's formation) is bounded the same way,
-  /// by the updates in flight. Robust rules (trimmed mean / median /
-  /// norm-clip) and server-side validation need the full cohort's
-  /// updates at once (per-coordinate order statistics, cohort-median
-  /// norm envelopes); those configurations fall back to gather-at-root —
-  /// O(cohort × model) server memory, flagged by FoldResult::gathered.
+  /// by the updates in flight. Only aggregate()'s plain weighted mean
+  /// streams. Robust rules (trimmed mean / median / norm-clip), the
+  /// sign-SGD vote and server-side validation need the full cohort's
+  /// updates at once (per-coordinate order statistics, votes about the
+  /// broadcast, cohort-median norm envelopes); those configurations
+  /// gather at root — O(cohort × model) server memory, flagged by
+  /// FoldResult::gathered — and aggregate against `reference`, the
+  /// pre-round model. A configuration that gathers throws fedclust::Error
+  /// when `reference` is empty; a streaming one ignores it.
   FoldResult train_clients_folded(
       const std::vector<std::size_t>& clients, std::size_t round,
       const std::function<std::span<const float>(std::size_t)>&
           start_weights_for,
       const net::EdgeTopology& topology,
       const LocalTrainConfig* config_override = nullptr,
-      const NetPayloads* net_payloads = nullptr);
+      const NetPayloads* net_payloads = nullptr,
+      std::span<const float> reference = {});
 
   /// Whether a given client drops out of a given round under the
   /// configured dropout probability (deterministic).
@@ -369,27 +375,27 @@ class Federation {
   /// to borrow whenever no train_clients call is in flight.
   ThreadPool* aggregation_pool() const { return &pool_; }
 
-  /// Aggregation seam every algorithm goes through. Under the default
-  /// kWeightedMean rule this is weighted_average over the aggregation
-  /// pool, plus — under config().audit — verification that the
-  /// coefficients conserve mass and every output coordinate stays inside
-  /// the inputs' convex envelope (check::audit_aggregation). Other rules
-  /// dispatch to robust::robust_aggregate; `reference` is the pre-round
-  /// model anchoring kNormClip deltas (ignored by the other rules, may
-  /// be empty).
+  /// The one aggregation seam: every algorithm, the async flush and the
+  /// edge fold's gather path decide here how updates are averaged.
+  /// `reference` is the pre-round model the updates trained from (always
+  /// required; one whole model). `coefficients` are normalized mixing
+  /// weights, one per update; empty means FedAvg's num_samples / total
+  /// (the async flush passes staleness-discounted ones, so unit staleness
+  /// is bit-identical to the sync rule). The rule:
+  ///  * plain weighted mean (kWeightedMean, upload codec not sign-SGD):
+  ///    weighted_average over the aggregation pool, plus — under
+  ///    config().audit — verification that the coefficients conserve
+  ///    mass and every output coordinate stays inside the inputs' convex
+  ///    envelope (check::audit_aggregation);
+  ///  * kWeightedMean with sign-SGD uploads: the weighted majority vote
+  ///    about the download-decoded reference;
+  ///  * kTrimmedMean with top-k uploads: the sparse-aware trimmed mean
+  ///    filled with the download-decoded reference;
+  ///  * other robust rules: robust::robust_aggregate, with `reference`
+  ///    anchoring kNormClip deltas.
   std::vector<float> aggregate(const std::vector<ClientUpdate>& updates,
-                               std::span<const float> reference = {});
-
-  /// aggregate() with explicit mixing coefficients (must be normalized;
-  /// one per update). The async engine passes staleness-discounted
-  /// sample weights here; aggregate() itself routes through this with
-  /// aggregation_coefficients(updates), so unit staleness is bit-identical
-  /// to the synchronous rule by construction. Robust rules and the
-  /// sign-SGD majority vote receive the same coefficients.
-  std::vector<float> aggregate_weighted(
-      const std::vector<ClientUpdate>& updates,
-      const std::vector<double>& coefficients,
-      std::span<const float> reference = {});
+                               std::span<const float> reference,
+                               const std::vector<double>& coefficients = {});
 
   /// Slot-aligned result of train_dispatched: every update trained, with
   /// per-slot screening verdicts (all-accepted when validation is off).
@@ -527,6 +533,12 @@ class Federation {
   std::vector<std::uint8_t> screen(const Cohort& cohort,
                                    std::vector<ClientUpdate>& updates);
 
+  /// Whether aggregate() takes its plain weighted-mean branch: the rule
+  /// is kWeightedMean and the upload codec is not sign-SGD (whose
+  /// updates are voted, not averaged). train_clients_folded streams
+  /// exactly when this holds and validation is off.
+  bool plain_weighted_mean() const;
+
   /// Trains one job (pooled clone, payload faults applied).
   ClientUpdate train_one(const TrainJob& job, const LocalTrainConfig& local,
                          std::size_t fault_attempt) const;
@@ -566,28 +578,16 @@ class Federation {
   std::unique_ptr<net::NetworkSimulator> net_;
 };
 
-/// Sample-count-weighted average of client weight vectors (FedAvg's
-/// aggregation rule). All updates must have equal length. Single fused
-/// pass: each output element is reduced in double across updates and
-/// written once. With a pool, large models are chunked into contiguous
-/// per-worker dimension ranges (deterministic — per-element math is
-/// independent of the chunking).
-std::vector<float> weighted_average(const std::vector<ClientUpdate>& updates,
-                                    ThreadPool* pool = nullptr);
-
-/// weighted_average with caller-supplied normalized coefficients (one per
-/// update). The default entry point computes aggregation_coefficients and
-/// forwards here, so passing those coefficients explicitly is
-/// bit-identical — the seam the async engine's staleness-weighted flush
-/// mixes through.
-std::vector<float> weighted_average_with(
-    const std::vector<ClientUpdate>& updates,
-    const std::vector<double>& coefficients, ThreadPool* pool = nullptr);
-
-/// The normalized per-update coefficients weighted_average applies
-/// (num_samples / total). Exposed so the aggregation audit can verify
-/// conservation against exactly what the reduction used.
-std::vector<double> aggregation_coefficients(
-    const std::vector<ClientUpdate>& updates);
+/// Weighted average of client weight vectors: sample-count weights
+/// (FedAvg's rule) when `coefficients` is empty, else the caller's
+/// normalized ones (one per update). All updates must have equal length.
+/// One pass of ops::weighted_accumulate_partial into a zeroed double
+/// accumulator, each element rounded once to float — the per-element
+/// sequence of the edge fold. With a pool, large models are chunked into
+/// kChunkAlign-aligned per-worker dimension ranges (deterministic —
+/// per-element math is independent of the chunking).
+std::vector<float> weighted_average(
+    const std::vector<ClientUpdate>& updates, ThreadPool* pool = nullptr,
+    const std::vector<double>& coefficients = {});
 
 }  // namespace fedclust::fl

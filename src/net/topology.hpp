@@ -11,10 +11,11 @@
 // to flat weighted_average for ANY edge count — see
 // fl::Federation::train_clients_folded.
 //
-// Robust rules (trimmed mean / median / norm-clip) and server-side
-// validation need the full update sample per coordinate and therefore
-// cannot fold; they gather at the root (explicit O(cohort × model)
-// memory note in DESIGN.md §4f).
+// Robust rules (trimmed mean / median / norm-clip), the sign-SGD vote and
+// server-side validation need the full update sample per coordinate and
+// therefore cannot fold; they gather at the root and aggregate against
+// the pre-round model (explicit O(cohort × model) memory note in
+// DESIGN.md §4f).
 #pragma once
 
 #include <cstddef>

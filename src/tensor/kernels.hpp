@@ -20,7 +20,7 @@
 // Determinism contract: every kernel accumulates each output element in
 // an order fixed by (element index, problem size) alone — never by
 // thread count or caller-side chunking, provided callers split work on
-// kChunkAlign boundaries (see weighted_accumulate). Scalar and SIMD
+// kChunkAlign boundaries (see weighted_accumulate_partial). Scalar and SIMD
 // tables may differ in low-order bits (different but fixed orders), so
 // cross-BUILD equivalence is tolerance-based while within-build runs are
 // bit-identical.
@@ -80,22 +80,15 @@ struct KernelTable {
   float (*max)(const float* x, std::size_t n);  ///< n must be > 0
 
   // -- fused kernels --------------------------------------------------------
-  /// out[i] = Σ_u coeff[u]·srcs[u][i] for i in [begin, end), accumulated
-  /// in double in ascending u. Callers chunking [0, dim) across threads
-  /// must cut on kChunkAlign boundaries for bit-identical results.
-  void (*weighted_accumulate)(const float* const* srcs, const double* coeff,
-                              std::size_t num, float* out, std::size_t begin,
-                              std::size_t end);
-  /// Streaming continuation of weighted_accumulate:
-  /// acc[i] += Σ_u coeff[u]·srcs[u][i] for i in [begin, end), where `acc`
-  /// is the caller's running double accumulator. Folding one update list
-  /// through this kernel in slot-order batches and finally casting acc to
-  /// float reproduces weighted_accumulate's output bit-for-bit for ANY
-  /// batch/edge grouping — each element sees the identical operation
-  /// sequence, only parked in memory between batches. This is what makes
-  /// hierarchical (edge-tree) weighted-mean aggregation exact against the
-  /// flat path. Same kChunkAlign chunking contract as
-  /// weighted_accumulate.
+  /// acc[i] += Σ_u coeff[u]·srcs[u][i] for i in [begin, end), accumulated
+  /// in double in ascending u onto the caller's running accumulator — the
+  /// one weighted-mean kernel. A flat mean is one call into a zeroed
+  /// accumulator followed by a float cast; an edge-tree fold is the same
+  /// sources fed in slot-order batches. Both give the same bits for ANY
+  /// batch grouping, since each element sees the identical operation
+  /// sequence, only parked in memory between batches. Callers chunking
+  /// [0, dim) across threads must cut on kChunkAlign boundaries for
+  /// bit-identical results.
   void (*weighted_accumulate_partial)(const float* const* srcs,
                                       const double* coeff, std::size_t num,
                                       double* acc, std::size_t begin,

@@ -245,24 +245,11 @@ float max_val(const float* x, std::size_t n) {
 
 // -- fused -------------------------------------------------------------------
 
-void weighted_accumulate(const float* const* srcs, const double* coeff,
-                         std::size_t num, float* out, std::size_t begin,
-                         std::size_t end) {
-  for (std::size_t i = begin; i < end; ++i) {
-    double acc = 0.0;
-    for (std::size_t u = 0; u < num; ++u) {
-      acc += coeff[u] * static_cast<double>(srcs[u][i]);
-    }
-    out[i] = static_cast<float>(acc);
-  }
-}
-
 void weighted_accumulate_partial(const float* const* srcs, const double* coeff,
                                  std::size_t num, double* acc,
                                  std::size_t begin, std::size_t end) {
-  // Per-element expression mirrors weighted_accumulate exactly; only the
-  // accumulator's starting point (the caller's buffer instead of 0)
-  // differs, so chained batches reproduce the one-shot result bit-for-bit.
+  // Each element continues the caller's accumulator in ascending u, so
+  // chained batches reproduce a single call over all sources bit-for-bit.
   for (std::size_t i = begin; i < end; ++i) {
     double a = acc[i];
     for (std::size_t u = 0; u < num; ++u) {
@@ -323,8 +310,8 @@ const KernelTable& scalar_kernels() {
       axpy,            scale,        add,          sub,
       mul,             scale_shift,  sub_mul,      relu_forward,
       relu_backward,   sum,          dot,          sqnorm,
-      sqdist,          sqdev,        max_val,      weighted_accumulate,
-      weighted_accumulate_partial,   bn_backward_dx,
+      sqdist,          sqdev,        max_val,      weighted_accumulate_partial,
+      bn_backward_dx,
       quantize_i8,     dequantize_i8, absmax,
   };
   return table;

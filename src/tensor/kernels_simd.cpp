@@ -368,43 +368,16 @@ float max_val(const float* x, std::size_t n) {
 
 // -- fused -------------------------------------------------------------------
 
-void weighted_accumulate(const float* const* srcs, const double* coeff,
-                         std::size_t num, float* out, std::size_t begin,
-                         std::size_t end) {
-  // begin is a kChunkAlign multiple (except the sole chunk of a short
-  // range starting at 0), so vector blocks sit at the same absolute
-  // offsets no matter how the caller chunked [0, dim) — lane membership,
-  // and hence bit patterns, are invariant to thread count.
-  std::size_t i = begin;
-  for (; i + W <= end; i += W) {
-    s::f64x a0 = s::dzero();
-    s::f64x a1 = s::dzero();
-    for (std::size_t u = 0; u < num; ++u) {
-      const s::f64x cv = s::dset1(coeff[u]);
-      s::f64x lo, hi;
-      s::widen(s::load(srcs[u] + i), lo, hi);
-      a0 = s::dfmadd(cv, lo, a0);
-      a1 = s::dfmadd(cv, hi, a1);
-    }
-    s::store(out + i, s::narrow(a0, a1));
-  }
-  for (; i < end; ++i) {
-    double acc = 0.0;
-    for (std::size_t u = 0; u < num; ++u) {
-      acc += coeff[u] * static_cast<double>(srcs[u][i]);
-    }
-    out[i] = static_cast<float>(acc);
-  }
-}
-
 void weighted_accumulate_partial(const float* const* srcs, const double* coeff,
                                  std::size_t num, double* acc,
                                  std::size_t begin, std::size_t end) {
-  // Identical vector-block structure and per-element op sequence as
-  // weighted_accumulate; the accumulators start from (and return to) the
-  // caller's double buffer via dload2/dstore2 — a value-preserving
-  // round-trip — so chained slot-order batches reproduce the one-shot
-  // kernel bit-for-bit regardless of how the update list was batched.
+  // begin is a kChunkAlign multiple (except the sole chunk of a short
+  // range starting at 0), so vector blocks sit at the same absolute
+  // offsets no matter how the caller chunked [0, dim) — lane membership,
+  // and hence bit patterns, are invariant to thread count. The
+  // accumulators start from (and return to) the caller's double buffer
+  // via dload2/dstore2 — a value-preserving round-trip — so chained
+  // slot-order batches reproduce one call over all sources bit-for-bit.
   std::size_t i = begin;
   for (; i + W <= end; i += W) {
     s::f64x a0, a1;
@@ -512,8 +485,8 @@ const KernelTable& simd_kernel_table() {
       axpy,            scale,        add,          sub,
       mul,             scale_shift,  sub_mul,      relu_forward,
       relu_backward,   sum,          dot,          sqnorm,
-      sqdist,          sqdev,        max_val,      weighted_accumulate,
-      weighted_accumulate_partial,   bn_backward_dx,
+      sqdist,          sqdev,        max_val,      weighted_accumulate_partial,
+      bn_backward_dx,
       quantize_i8,     dequantize_i8, absmax,
   };
   return table;

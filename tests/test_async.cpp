@@ -78,7 +78,7 @@ TEST(AsyncStaleness, WeightHandComputed) {
 TEST(AsyncStaleness, FlushMixingMatchesHandComputedMean) {
   // Two synthetic updates, samples {10, 20}, staleness {0, 2}, a = 0.5:
   // c ∝ {10·1, 20/√3}. The flush normalizes and hands the coefficients
-  // to aggregate_weighted, which must land on the per-coordinate convex
+  // to aggregate, which must land on the per-coordinate convex
   // mix exactly (double accumulators, single rounding).
   auto [fed, groups] = make_grouped_federation();
   const std::size_t dim = fed.model_size();
@@ -97,7 +97,8 @@ TEST(AsyncStaleness, FlushMixingMatchesHandComputedMean) {
                                             0.5, 2);
   const double total = wa + wb;
   const std::vector<float> mixed =
-      fed.aggregate_weighted({a, b}, {wa / total, wb / total});
+      fed.aggregate({a, b}, fed.template_model().flat_weights(),
+                    {wa / total, wb / total});
   const float expected =
       static_cast<float>((wa / total) * 1.0 + (wb / total) * 4.0);
   ASSERT_EQ(mixed.size(), dim);

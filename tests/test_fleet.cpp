@@ -1,8 +1,9 @@
 // Fleet-virtualization equivalence suite: the lazy VirtualFleet must be
 // bit-identical to the eager path, the edge-aggregation fold must be
-// bit-identical to flat FedAvg for any edge count, and the supporting
-// pieces (model pool, cohort comm metering, streaming moments, the
-// streaming Dirichlet deal) must reproduce their dense counterparts.
+// bit-identical to flat FedAvg for any edge count and to the sync round
+// under every rule and codec, and the supporting pieces (model pool,
+// cohort comm metering, streaming moments, the streaming Dirichlet deal)
+// must reproduce their dense counterparts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -150,7 +151,7 @@ TEST(EdgeAggregation, TreeVsFlatBitIdenticalAcrossEdgeCounts) {
   std::vector<fl::ClientUpdate> updates =
       fed.train_clients(cohort, /*round=*/0, weights_for);
   ASSERT_EQ(updates.size(), cohort.size());
-  const std::vector<float> flat = fed.aggregate(updates);
+  const std::vector<float> flat = fed.aggregate(updates, global);
 
   for (const std::size_t edges : {1u, 2u, 7u}) {
     const fl::Federation::FoldResult fr = fed.train_clients_folded(
@@ -234,7 +235,7 @@ TEST(EdgeAggregation, StreamingFoldBitIdenticalAcrossWorkersAndEdges) {
         survivors.push_back(u.client_id);
         loss_sum += u.train_loss;
       }
-      const std::vector<float> flat = fed.aggregate(updates);
+      const std::vector<float> flat = fed.aggregate(updates, global);
       if (first_flat.empty()) first_flat = flat;
       ASSERT_EQ(flat.size(), first_flat.size());
       EXPECT_EQ(std::memcmp(flat.data(), first_flat.data(),
@@ -330,21 +331,74 @@ TEST(EdgeAggregation, FailureInsideFoldPropagates) {
             static_cast<std::ptrdiff_t>(ran.size()));
 }
 
-TEST(EdgeAggregation, RobustRuleFallsBackToGather) {
-  fl::FederationConfig cfg;
-  cfg.robust.rule = robust::AggregationRule::kTrimmedMean;
-  fl::Federation fed = testing::make_dirichlet_federation(
-      6, 0.3, 480, 7, cfg);
-  const std::vector<float> global = fed.template_model().flat_weights();
-  const auto weights_for = [&](std::size_t) {
-    return std::span<const float>(global);
+// The fold is the sync round's aggregation under every rule and codec:
+// train_clients_folded against the pre-round model must equal
+// train_clients + aggregate(updates, global) byte for byte. The plain
+// weighted mean streams (int8 included); the sign-SGD vote and the robust
+// rules gather at root and aggregate against the reference — norm-clip
+// clips deltas about it and the top-k trimmed mean fills from it. A
+// gathering rule handed no reference refuses instead of anchoring at 0.
+TEST(EdgeAggregation, FoldMatchesSyncRoundUnderEveryRule) {
+  using robust::AggregationRule;
+  struct Case {
+    const char* name;
+    bool compress;
+    compress::CodecKind upload;
+    AggregationRule rule;
+    bool gathers;
   };
-  std::vector<std::size_t> cohort(fed.num_clients());
-  for (std::size_t i = 0; i < cohort.size(); ++i) cohort[i] = i;
-  const fl::Federation::FoldResult fr = fed.train_clients_folded(
-      cohort, 0, weights_for, net::EdgeTopology{4});
-  EXPECT_TRUE(fr.gathered);
-  EXPECT_EQ(fr.weights.size(), fed.model_size());
+  const Case cases[] = {
+      {"plain", false, compress::CodecKind::kIdentity,
+       AggregationRule::kWeightedMean, false},
+      {"int8", true, compress::CodecKind::kInt8,
+       AggregationRule::kWeightedMean, false},
+      {"sign", true, compress::CodecKind::kSignSgd,
+       AggregationRule::kWeightedMean, true},
+      {"norm_clip", false, compress::CodecKind::kIdentity,
+       AggregationRule::kNormClip, true},
+      {"trimmed_mean", false, compress::CodecKind::kIdentity,
+       AggregationRule::kTrimmedMean, true},
+      {"coordinate_median", false, compress::CodecKind::kIdentity,
+       AggregationRule::kCoordinateMedian, true},
+      {"topk+trimmed_mean", true, compress::CodecKind::kTopK,
+       AggregationRule::kTrimmedMean, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    fl::FederationConfig cfg;
+    cfg.compression.enabled = c.compress;
+    cfg.compression.upload = c.upload;
+    cfg.robust.rule = c.rule;
+    fl::Federation fed =
+        testing::make_dirichlet_federation(12, 0.3, 960, 7, cfg);
+    const std::vector<float> global = fed.template_model().flat_weights();
+    const auto weights_for = [&](std::size_t) {
+      return std::span<const float>(global);
+    };
+    std::vector<std::size_t> cohort(fed.num_clients());
+    for (std::size_t i = 0; i < cohort.size(); ++i) cohort[i] = i;
+
+    const std::vector<fl::ClientUpdate> updates =
+        fed.train_clients(cohort, /*round=*/0, weights_for);
+    ASSERT_EQ(updates.size(), cohort.size());
+    const std::vector<float> sync = fed.aggregate(updates, global);
+
+    const fl::Federation::FoldResult fr = fed.train_clients_folded(
+        cohort, /*round=*/0, weights_for, net::EdgeTopology{4}, nullptr,
+        nullptr, global);
+    EXPECT_EQ(fr.gathered, c.gathers);
+    EXPECT_EQ(fr.contributors, cohort);
+    ASSERT_EQ(fr.weights.size(), sync.size());
+    EXPECT_EQ(std::memcmp(fr.weights.data(), sync.data(),
+                          sync.size() * sizeof(float)),
+              0)
+        << "the fold diverges from the sync round";
+    if (c.gathers) {
+      EXPECT_THROW(fed.train_clients_folded(cohort, /*round=*/0, weights_for,
+                                            net::EdgeTopology{4}),
+                   Error);
+    }
+  }
 }
 
 TEST(EdgeAggregation, PartialKernelChainsBitIdenticalToFlatKernel) {
@@ -365,10 +419,11 @@ TEST(EdgeAggregation, PartialKernelChainsBitIdenticalToFlatKernel) {
   std::vector<const float*> srcs(kNum);
   for (std::size_t u = 0; u < kNum; ++u) srcs[u] = vecs[u].data();
 
+  // The flat mean: one call over every source into a zeroed accumulator.
   const ops::KernelTable& kt = ops::kernels();
-  std::vector<float> flat(kDim);
-  kt.weighted_accumulate(srcs.data(), coeff.data(), kNum, flat.data(), 0,
-                         kDim);
+  std::vector<double> flat(kDim, 0.0);
+  kt.weighted_accumulate_partial(srcs.data(), coeff.data(), kNum, flat.data(),
+                                 0, kDim);
 
   // Chain 1: split the SOURCES into two batches (the edge-batch seam).
   std::vector<double> acc(kDim, 0.0);
@@ -376,10 +431,8 @@ TEST(EdgeAggregation, PartialKernelChainsBitIdenticalToFlatKernel) {
                                  kDim);
   kt.weighted_accumulate_partial(srcs.data() + 2, coeff.data() + 2, kNum - 2,
                                  acc.data(), 0, kDim);
-  for (std::size_t i = 0; i < kDim; ++i) {
-    ASSERT_EQ(static_cast<float>(acc[i]), flat[i]) << "source-batch chain, i="
-                                                   << i;
-  }
+  ASSERT_EQ(std::memcmp(acc.data(), flat.data(), kDim * sizeof(double)), 0)
+      << "source-batch chain";
 
   // Chain 2: split the DIMENSION at a kChunkAlign boundary (the
   // thread-chunking seam).
@@ -390,10 +443,8 @@ TEST(EdgeAggregation, PartialKernelChainsBitIdenticalToFlatKernel) {
                                  0, mid);
   kt.weighted_accumulate_partial(srcs.data(), coeff.data(), kNum, acc.data(),
                                  mid, kDim);
-  for (std::size_t i = 0; i < kDim; ++i) {
-    ASSERT_EQ(static_cast<float>(acc[i]), flat[i]) << "dim-split chain, i="
-                                                   << i;
-  }
+  ASSERT_EQ(std::memcmp(acc.data(), flat.data(), kDim * sizeof(double)), 0)
+      << "dim-split chain";
 }
 
 TEST(ModelPool, RecycledCloneTrainsBitIdenticalToFreshClone) {

@@ -491,7 +491,8 @@ TEST(FederationAggregate, WeightedMeanRuleMatchesWeightedAverage) {
     for (float& x : u.weights) x = static_cast<float>(rng.normal());
     updates.push_back(std::move(u));
   }
-  EXPECT_EQ(fed.aggregate(updates), fl::weighted_average(updates));
+  EXPECT_EQ(fed.aggregate(updates, fed.template_model().flat_weights()),
+            fl::weighted_average(updates));
 }
 
 TEST(FederationAggregate, TrimmedMeanRuleDispatchesToRobust) {
@@ -507,7 +508,8 @@ TEST(FederationAggregate, TrimmedMeanRuleDispatchesToRobust) {
     u.weights.assign(fed.model_size(), v);
     updates.push_back(std::move(u));
   }
-  const auto out = fed.aggregate(updates);
+  const auto out =
+      fed.aggregate(updates, fed.template_model().flat_weights());
   for (const float x : out) EXPECT_FLOAT_EQ(x, 2.0f);
 }
 

@@ -86,7 +86,7 @@ TEST(SimdDispatch, AllKernelPointersAreNonNull) {
     EXPECT_NE(t.sqdist, nullptr);
     EXPECT_NE(t.sqdev, nullptr);
     EXPECT_NE(t.max, nullptr);
-    EXPECT_NE(t.weighted_accumulate, nullptr);
+    EXPECT_NE(t.weighted_accumulate_partial, nullptr);
     EXPECT_NE(t.bn_backward_dx, nullptr);
   };
   check(ops::scalar_kernels());
@@ -344,11 +344,15 @@ TEST_F(SimdScalarEquivalence, WeightedAccumulateAndBnBackward) {
     const auto u2 = random_vec(n, 92 + n);
     const float* srcs[] = {u0.data(), u1.data(), u2.data()};
     const double coeff[] = {0.5, 0.3, 0.2};
-    std::vector<float> os(n), ov(n);
-    scalar_.weighted_accumulate(srcs, coeff, 3, os.data(), 0, n);
-    simd_->weighted_accumulate(srcs, coeff, 3, ov.data(), 0, n);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_FLOAT_EQ(os[i], ov[i]);
+    // The flat mean: one call into a zeroed accumulator, cast to float.
+    std::vector<double> as(n, 0.0), av(n, 0.0);
+    scalar_.weighted_accumulate_partial(srcs, coeff, 3, as.data(), 0, n);
+    simd_->weighted_accumulate_partial(srcs, coeff, 3, av.data(), 0, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_FLOAT_EQ(static_cast<float>(as[i]), static_cast<float>(av[i]));
+    }
 
+    std::vector<float> os(n), ov(n);
     scalar_.bn_backward_dx(u0.data(), u1.data(), os.data(), 1.75, 0.03,
                            -0.02, n);
     simd_->bn_backward_dx(u0.data(), u1.data(), ov.data(), 1.75, 0.03,
@@ -396,15 +400,16 @@ TEST_F(SimdScalarEquivalence, WeightedAccumulateChunkingIsBitIdentical) {
   const auto u1 = random_vec(dim, 6);
   const float* srcs[] = {u0.data(), u1.data()};
   const double coeff[] = {0.6, 0.4};
-  std::vector<float> whole(dim);
-  simd_->weighted_accumulate(srcs, coeff, 2, whole.data(), 0, dim);
+  std::vector<double> whole(dim, 0.0);
+  simd_->weighted_accumulate_partial(srcs, coeff, 2, whole.data(), 0, dim);
   for (const std::size_t chunks : {2u, 3u, 7u}) {
-    std::vector<float> split(dim);
+    std::vector<double> split(dim, 0.0);
     std::size_t step = (dim / chunks + ops::kChunkAlign - 1) /
                        ops::kChunkAlign * ops::kChunkAlign;
     for (std::size_t begin = 0; begin < dim; begin += step) {
       const std::size_t end = std::min(dim, begin + step);
-      simd_->weighted_accumulate(srcs, coeff, 2, split.data(), begin, end);
+      simd_->weighted_accumulate_partial(srcs, coeff, 2, split.data(), begin,
+                                         end);
     }
     ASSERT_EQ(whole, split) << "chunks=" << chunks;
   }
