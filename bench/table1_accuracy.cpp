@@ -38,6 +38,14 @@ constexpr PaperRow kPaperTable[] = {
     {"FedClust", "60.25 ± 0.58", "95.51 ± 0.17", "78.23 ± 0.30"},
 };
 
+/// The paper's row for `method`; null for a method Table I lacks.
+const PaperRow* paper_row(const std::string& method) {
+  for (const PaperRow& row : kPaperTable) {
+    if (method == row.method) return &row;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -117,20 +125,24 @@ int main(int argc, char** argv) {
   TextTable table({"Method", "CIFAR-10 (ours)", "CIFAR-10 (paper)",
                    "FMNIST (ours)", "FMNIST (paper)", "SVHN (ours)",
                    "SVHN (paper)"});
-  for (std::size_t m = 0; m < method_order.size(); ++m) {
-    const std::string& method = method_order[m];
-    const PaperRow& paper = kPaperTable[m];
-    const auto c = bench::mean_std(results[method]["cifar10"]);
-    const auto f = bench::mean_std(results[method]["fmnist"]);
-    const auto v = bench::mean_std(results[method]["svhn"]);
+  // "—" marks a dataset the --datasets filter skipped (and a method the
+  // paper's table lacks), so it cannot read as a measured 0%.
+  const auto ours = [&](const std::string& method, const char* dataset) {
+    const std::vector<double>& runs = results[method][dataset];
+    if (runs.empty()) return std::string("—");
+    const auto ms = bench::mean_std(runs);
+    return format_mean_std(ms.mean, ms.std);
+  };
+  for (const std::string& method : method_order) {
+    const PaperRow* paper = paper_row(method);
     table.new_row()
         .add(method)
-        .add(format_mean_std(c.mean, c.std))
-        .add(paper.cifar10)
-        .add(format_mean_std(f.mean, f.std))
-        .add(paper.fmnist)
-        .add(format_mean_std(v.mean, v.std))
-        .add(paper.svhn);
+        .add(ours(method, "cifar10"))
+        .add(paper != nullptr ? paper->cifar10 : "—")
+        .add(ours(method, "fmnist"))
+        .add(paper != nullptr ? paper->fmnist : "—")
+        .add(ours(method, "svhn"))
+        .add(paper != nullptr ? paper->svhn : "—");
   }
 
   std::printf(

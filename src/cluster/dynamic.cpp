@@ -58,20 +58,18 @@ ReclusterResult recluster(const std::vector<std::vector<float>>& anchors,
     const std::vector<double> d =
         mean_cluster_distances(self, pool, labels, k);
     pool[i] = std::move(self);
-    double sigma = config.gaussian_sigma;
-    if (sigma <= 0.0) {  // per-member width: mean finite distance
-      double sum = 0.0;
-      std::size_t cnt = 0;
-      for (double x : d) {
-        if (std::isfinite(x)) {
-          sum += x;
-          ++cnt;
-        }
+    // Per-member Gaussian width: the mean finite distance.
+    double sum = 0.0;
+    std::size_t cnt = 0;
+    for (double x : d) {
+      if (std::isfinite(x)) {
+        sum += x;
+        ++cnt;
       }
-      if (cnt == 0 || sum <= 0.0) continue;
-      sigma = sum / static_cast<double>(cnt);
     }
-    const std::vector<double> w = soft_memberships(d, sigma);
+    if (cnt == 0 || sum <= 0.0) continue;
+    const std::vector<double> w =
+        soft_memberships(d, sum / static_cast<double>(cnt));
     const std::size_t home = labels[i];
     std::size_t best = home;
     for (std::size_t c = 0; c < k; ++c) {
@@ -96,9 +94,7 @@ ReclusterResult recluster(const std::vector<std::vector<float>>& anchors,
           members.push_back(i);
         }
       }
-      if (members.size() < std::max<std::size_t>(2, config.min_split_size)) {
-        continue;
-      }
+      if (members.size() < 2) continue;
       std::vector<std::vector<float>> member_anchors;
       member_anchors.reserve(members.size());
       for (std::size_t i : members) member_anchors.push_back(anchors[i]);

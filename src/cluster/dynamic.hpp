@@ -8,15 +8,17 @@
 //      Gaussian Weighting for CFL", PAPERS.md): each flagged member's
 //      anchor is scored against every cluster's mean anchor distance
 //      (the newcomer rule's metric, self-excluded), converted to soft
-//      memberships w_c ∝ exp(−d_c² / 2σ²), and the member moves to the
-//      argmax cluster when its weight beats the home cluster's by the
-//      configured margin. Members that genuinely migrated to another
-//      mode get absorbed there — the "merge" direction.
-//   2. Dendrogram split: each flagged cluster's remaining members are
-//      re-clustered by agglomerative HC over their refreshed anchors
-//      and cut at the formation threshold. Sub-clusters beyond the
-//      first become new clusters inheriting the parent's model — the
-//      "split" direction for cohorts that forked into distinct modes.
+//      memberships w_c ∝ exp(−d_c² / 2σ²) (σ = the member's mean finite
+//      cluster distance), and the member moves to the argmax cluster
+//      when its weight beats the home cluster's by the configured
+//      margin. Members that genuinely migrated to another mode get
+//      absorbed there — the "merge" direction.
+//   2. Dendrogram split: each flagged cluster's remaining members (if
+//      two or more) are re-clustered by agglomerative HC over their
+//      refreshed anchors and cut at the formation threshold. Sub-clusters
+//      beyond the first become new clusters inheriting the parent's
+//      model — the "split" direction for cohorts that forked into
+//      distinct modes.
 //   3. Compaction: clusters left without active members are drained and
 //      ids renumbered consecutively, so downstream code never sees a
 //      hole in the label space.
@@ -39,15 +41,10 @@ struct ReclusterConfig {
   /// formation run's threshold. <= 0 disables splitting (a threshold of
   /// 0 would shatter every flagged cluster into singletons).
   double threshold = 0.0;
-  /// Gaussian kernel width for soft memberships; <= 0 derives it per
-  /// member as the mean of its finite cluster distances.
-  double gaussian_sigma = 0.0;
   /// A member moves only when the best foreign soft membership exceeds
   /// `reassign_margin` times its home membership (1 = plain argmax;
   /// larger is stickier).
   double reassign_margin = 1.0;
-  /// Flagged clusters with fewer members than this skip the split stage.
-  std::size_t min_split_size = 2;
 };
 
 struct ReclusterResult {

@@ -22,6 +22,10 @@ namespace {
 /// independent of the same (client, round) training-round stream.
 constexpr std::uint64_t kNewcomerWarmupTag = 0x7d10;
 
+/// Minimum fraction of clients whose formation upload must arrive (after
+/// the retry waves) for clustering to proceed.
+constexpr double kFormationQuorum = 0.5;
+
 /// The local-training config of FedClust's warmup (formation, retries,
 /// re-anchors and newcomers): `local` with warmup_epochs when set.
 fl::LocalTrainConfig warmup_config(const fl::LocalTrainConfig& local,
@@ -124,11 +128,9 @@ ClusteringOutcome FedClust::form_clusters(fl::Federation& federation,
   ClusteringOutcome out;
   out.partial_weights.resize(n);
   std::vector<bool> reported(n, false);
-  std::size_t slice_floats = 0;
   // A non-finite partial would poison the proximity matrix, so it counts
   // as missing and the retry waves ask again.
   const auto record = [&](PartialReports reports) {
-    slice_floats = reports.slice_floats;
     for (std::size_t i = 0; i < reports.arrived.size(); ++i) {
       if (reports.partials[i].empty()) continue;
       out.partial_weights[reports.arrived[i]] = std::move(reports.partials[i]);
@@ -157,19 +159,10 @@ ClusteringOutcome FedClust::form_clusters(fl::Federation& federation,
     (reported[c] ? out.reporters : out.deferred).push_back(c);
   }
 
-  // Wire accounting: full model down per solicitation, partial up per
-  // arrived report (faults off: exactly one of each per client).
-  std::size_t solicitations = n;
-  for (const auto& wave : out.resolicited) solicitations += wave.size();
-  out.download_bytes =
-      federation.download_wire_bytes(federation.model_size()) * solicitations;
-  out.upload_bytes =
-      federation.upload_wire_bytes(slice_floats) * out.reporters.size();
-
   // Quorum gate: clustering over a sliver of the population would bake
   // an unrepresentative partition in for the whole run.
-  const std::size_t quorum = static_cast<std::size_t>(std::ceil(
-      config_.min_formation_quorum * static_cast<double>(n)));
+  const std::size_t quorum = static_cast<std::size_t>(
+      std::ceil(kFormationQuorum * static_cast<double>(n)));
   if (out.reporters.size() < quorum) {
     FEDCLUST_CHECK(
         config_.formation_fallback !=
@@ -521,7 +514,6 @@ std::size_t FedClust::recover_clusters(
   cluster::ReclusterConfig rc;
   rc.linkage = config_.linkage;
   rc.threshold = outcome.threshold;
-  rc.gaussian_sigma = config_.dynamic.gaussian_sigma;
   rc.reassign_margin = config_.dynamic.reassign_margin;
   std::vector<std::uint8_t> active(labels_.size(), 1);
   for (std::size_t c = 0; c < labels_.size(); ++c) {
@@ -599,16 +591,12 @@ std::size_t FedClust::admit_newcomer(fl::Federation& federation,
   // nearest-cluster routing over the stored anchors.
   const std::size_t partial_floats = slices_numel(resolve_partial_slices(
       federation.template_model(), config_.partial_spec));
-  const std::vector<net::ClientOp> ops{
-      {.client = slot,
-       .download_floats = federation.model_size(),
-       .upload_floats = partial_floats,
-       .num_samples = federation.client_train_size(slot),
-       .epochs = warmup_config(federation.config().local, config_).epochs,
-       .churned = false,
-       .upload_kind = net::MessageKind::kPartialUpdate,
-       .download_bytes =
-           federation.codec_download_op_bytes(federation.model_size())}};
+  const std::vector<net::ClientOp> ops{federation.client_op(
+      slot,
+      fl::NetPayloads{federation.model_size(), partial_floats,
+                      net::MessageKind::kPartialUpdate},
+      warmup_config(federation.config().local, config_).epochs,
+      /*churned=*/false)};
   federation.simulate_network_round(round, ops, /*reliable=*/true);
   federation.meter_download(slot, federation.model_size());
   federation.meter_upload(slot, partial_floats);

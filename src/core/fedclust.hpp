@@ -82,11 +82,9 @@ struct FedClustConfig {
   /// the warmup solicitation for the missing clients only, with an
   /// independent fault draw.
   std::size_t formation_retries = 2;
-  /// Minimum fraction of clients whose formation upload must arrive
-  /// (after retries) for clustering to proceed.
-  double min_formation_quorum = 0.5;
-  /// Below quorum: fall back to one global cluster (plain FedAvg over
-  /// whoever is alive) or abort the run with fedclust::Error.
+  /// Fewer than half of the clients reported after the retries: fall
+  /// back to one global cluster (plain FedAvg over whoever is alive) or
+  /// abort the run with fedclust::Error.
   enum class FormationFallback { kGlobalFedAvg, kAbort };
   FormationFallback formation_fallback = FormationFallback::kGlobalFedAvg;
 
@@ -102,10 +100,8 @@ struct FedClustConfig {
   struct DynamicConfig {
     bool enabled = false;
     fl::DriftDetectorConfig detector{};
-    /// Soft-membership move margin / Gaussian width; see
-    /// cluster::ReclusterConfig.
+    /// Soft-membership move margin; see cluster::ReclusterConfig.
     double reassign_margin = 1.0;
-    double gaussian_sigma = 0.0;
     /// Re-clustering recoveries allowed per run; 0 = unlimited.
     std::size_t max_recoveries = 0;
   };
@@ -132,8 +128,6 @@ struct ClusteringOutcome {
   /// Per-client cluster assignment (ALL clients; a deferred client holds
   /// a provisional 0 until the newcomer path places it).
   std::vector<std::size_t> labels;
-  std::uint64_t upload_bytes = 0;
-  std::uint64_t download_bytes = 0;
   /// Sorted ids whose formation upload arrived (possibly after retries).
   std::vector<std::size_t> reporters;
   /// Sorted ids still missing after every retry — formation_phase admits

@@ -20,20 +20,6 @@ double staleness_weight(StalenessKind kind, double exponent,
   return 1.0 / std::pow(1.0 + static_cast<double>(staleness), exponent);
 }
 
-std::vector<float> decay_toward(std::span<const float> current,
-                                std::span<const float> target, double lr) {
-  FEDCLUST_REQUIRE(current.size() == target.size(),
-                   "decay_toward: size mismatch");
-  FEDCLUST_REQUIRE(lr > 0.0 && lr <= 1.0, "decay_toward: lr must be in (0, 1]");
-  std::vector<float> out(current.size());
-  for (std::size_t i = 0; i < current.size(); ++i) {
-    out[i] = static_cast<float>(
-        static_cast<double>(current[i]) +
-        lr * (static_cast<double>(target[i]) - static_cast<double>(current[i])));
-  }
-  return out;
-}
-
 RunResult Algorithm::run(Federation& federation, std::size_t rounds) {
   return run_synchronized(federation, *this, rounds);
 }
@@ -410,16 +396,11 @@ class BufferedScheduler {
         fed_.fault_plan().decide(d.seq, client, 0) ==
             robust::FaultKind::kCrash;
     const bool churned = crashed || fed_.client_fails(client, d.seq);
-    const net::ClientOp op{
-        .client = client,
-        .download_floats = fed_.model_size(),
-        .upload_floats = fed_.model_size(),
-        .num_samples = fed_.client_train_size(client),
-        .epochs = epochs_,
-        .churned = churned,
-        .upload_kind = net::MessageKind::kModelUpdate,
-        .download_bytes = fed_.codec_download_op_bytes(fed_.model_size()),
-        .upload_bytes = fed_.codec_upload_op_bytes(fed_.model_size())};
+    const net::ClientOp op = fed_.client_op(
+        client,
+        NetPayloads{fed_.model_size(), fed_.model_size(),
+                    net::MessageKind::kModelUpdate},
+        epochs_, churned);
     d.outcome =
         fed_.network()->simulate_client_op(d.seq, op, fed_.network()->now());
     // Both legs metered now (see class invariant above). A delivered
@@ -473,7 +454,6 @@ class BufferedScheduler {
           if (fed_.config().robust.validate.enabled) {
             fed_.quarantine().strike(d.client);
           }
-          ++stale_discards_;
         } else {
           const std::size_t c = d.cluster;
           buffers_[c].push_back(std::move(d));
@@ -511,7 +491,6 @@ class BufferedScheduler {
     coeff.reserve(batch.size());
     double total = 0.0;
     double loss_sum = 0.0;
-    double stale_sum = 0.0;
     for (std::size_t i = 0; i < screened.updates.size(); ++i) {
       if (!screened.accepted[i]) continue;
       const std::size_t stale = versions_[cluster] - batch[i].version;
@@ -519,7 +498,6 @@ class BufferedScheduler {
           static_cast<double>(screened.updates[i].num_samples) *
           staleness_weight(cfg_.staleness_fn, cfg_.staleness_exponent, stale);
       loss_sum += screened.updates[i].train_loss;
-      stale_sum += static_cast<double>(stale);
       kept.push_back(std::move(screened.updates[i]));
       coeff.push_back(w);
       total += w;
@@ -527,20 +505,8 @@ class BufferedScheduler {
     double mean_loss = 0.0;
     if (!kept.empty()) {
       for (double& w : coeff) w /= total;
-      std::vector<float> mixed =
-          fed_.aggregate(kept, algo_.cluster_model(cluster), coeff);
-      // Staleness-spike LR decay: when the kept batch's mean staleness
-      // crosses the knob, only move lr_decay of the way toward the
-      // aggregate. Stateless, so checkpoints need no new fields; at
-      // lr_decay == 1 the blend is exact identity (x + 1*(y-x) == y in
-      // double for floats), keeping the off-path bit-identical.
-      if (cfg_.lr_decay_staleness > 0.0 && cfg_.lr_decay < 1.0 &&
-          stale_sum / static_cast<double>(kept.size()) >
-              cfg_.lr_decay_staleness) {
-        mixed = decay_toward(algo_.cluster_model(cluster), mixed,
-                             cfg_.lr_decay);
-      }
-      algo_.set_cluster_model(cluster, std::move(mixed));
+      algo_.set_cluster_model(
+          cluster, fed_.aggregate(kept, algo_.cluster_model(cluster), coeff));
       ++versions_[cluster];
       broadcast_[cluster] = snapshot_broadcast(cluster);
       mean_loss = loss_sum / static_cast<double>(kept.size());
@@ -549,10 +515,7 @@ class BufferedScheduler {
     ++flushes_done_;
     const std::size_t round = first_ + flushes_done_ - 1;
     const bool last = flushes_done_ == target_flushes_;
-    const std::size_t every = cfg_.eval_every_flushes > 0
-                                  ? cfg_.eval_every_flushes
-                                  : fed_.config().eval_every;
-    if (last || flushes_done_ % every == 0) {
+    if (last || flushes_done_ % fed_.config().eval_every == 0) {
       const AccuracySummary acc = algo_.evaluate(fed_);
       result_.rounds.push_back(make_round_metrics(round, acc, mean_loss, fed_,
                                                   algo_.num_clusters(),
@@ -623,7 +586,6 @@ class BufferedScheduler {
   std::size_t flushes_done_ = 0;
   std::size_t next_seq_ = 0;
   std::size_t num_clusters_ = 1;
-  std::size_t stale_discards_ = 0;
 
   std::vector<std::size_t> versions_;  ///< flushes applied per cluster
   std::vector<std::size_t> active_;    ///< non-quarantined members per cluster

@@ -36,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -55,12 +54,6 @@ enum class StalenessKind : std::uint8_t {
 double staleness_weight(StalenessKind kind, double exponent,
                         std::size_t staleness);
 
-/// current + lr * (target - current), per coordinate in double. The
-/// server-side LR-decay blend a staleness spike applies to a flush's
-/// aggregate (see AsyncConfig::lr_decay_staleness); exposed for tests.
-std::vector<float> decay_toward(std::span<const float> current,
-                                std::span<const float> target, double lr);
-
 /// Knobs of the buffered async engine.
 struct AsyncConfig {
   /// Updates buffered per cluster before a flush aggregates them.
@@ -77,20 +70,6 @@ struct AsyncConfig {
   /// outstanding dispatch at once (FedBuff's Mc). 0 = the whole fleet.
   /// SEMANTIC knob — it changes the event timeline and the trajectory.
   std::size_t inflight = 0;
-  /// Server-side learning-rate decay on staleness spikes: when a flush's
-  /// kept updates have mean staleness > lr_decay_staleness, the mixed
-  /// model only moves `lr_decay` of the way from the current cluster
-  /// model toward the aggregate — a stale burst (buffer drained after a
-  /// straggler wave) nudges the server instead of yanking it. 0 disables
-  /// the knob entirely (bit-identical to the pre-knob engine), and
-  /// lr_decay = 1 blends nothing out (also bit-identical). Stateless —
-  /// a pure function of the flush batch — so checkpoints are unchanged.
-  double lr_decay_staleness = 0.0;
-  /// Blend factor applied on a staleness spike (0 < lr_decay <= 1).
-  double lr_decay = 0.5;
-  /// Evaluate (and record metrics) every this many flushes; 0 = the
-  /// federation's eval_every. The final flush is always evaluated.
-  std::size_t eval_every_flushes = 0;
   /// Write a robust::RunCheckpoint (with the in-flight buffer and
   /// dispatch frontier) every this many flushes; 0 = never.
   std::size_t checkpoint_every = 0;
@@ -137,9 +116,10 @@ RunResult restore_checkpoint(Federation& federation, Algorithm& algorithm,
 /// config.inflight); per-cluster buffers flush independently once they
 /// hold buffer_k arrived updates. Runs until `flushes` buffer flushes
 /// have been applied. Requires the network simulator and an algorithm
-/// with supports_async(). Metrics: one RoundMetrics per evaluated flush,
-/// with round = first_round + flush index and sim_seconds = virtual time
-/// at the flush.
+/// with supports_async(). Metrics: one RoundMetrics per evaluated flush
+/// (every federation.config().eval_every flushes and the last one), with
+/// round = first_round + flush index and sim_seconds = virtual time at
+/// the flush.
 RunResult run_async(Federation& federation, Algorithm& algorithm,
                     const AsyncConfig& config, std::size_t flushes);
 

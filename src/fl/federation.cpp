@@ -133,10 +133,8 @@ Federation::Federation(nn::Model template_model,
     source_ = drift_fleet_;
   }
   if (config_.network.enabled) {
-    const std::uint64_t net_seed =
-        config_.network.seed != 0 ? config_.network.seed : config_.seed;
     net_ = std::make_unique<net::NetworkSimulator>(
-        config_.network, source_->num_clients(), net_seed);
+        config_.network, source_->num_clients(), config_.seed);
   }
   if (config_.compression.enabled) {
     up_codec_ = compress::make_codec(config_.compression.upload,
@@ -210,6 +208,21 @@ std::uint64_t Federation::codec_upload_op_bytes(std::size_t num_floats) const {
              ? net::wire_bytes_encoded(
                    encoded_payload_bytes(*up_codec_, num_floats))
              : 0;
+}
+
+net::ClientOp Federation::client_op(std::size_t client,
+                                    const NetPayloads& payloads,
+                                    std::size_t epochs, bool churned) const {
+  return net::ClientOp{
+      .client = client,
+      .download_floats = payloads.download_floats,
+      .upload_floats = payloads.upload_floats,
+      .num_samples = client_train_size(client),
+      .epochs = epochs,
+      .churned = churned,
+      .upload_kind = payloads.upload_kind,
+      .download_bytes = codec_download_op_bytes(payloads.download_floats),
+      .upload_bytes = codec_upload_op_bytes(payloads.upload_floats)};
 }
 
 std::vector<float> Federation::download_roundtrip(
@@ -378,21 +391,10 @@ std::vector<std::size_t> Federation::round_survivors(
       std::vector<net::ClientOp> ops;
       ops.reserve(solicited.size());
       for (const std::size_t cid : solicited) {
-        FEDCLUST_REQUIRE(cid < source_->num_clients(),
-                         "client id out of range");
         const bool churned =
             (allow_failures && client_fails(cid, round)) ||
             fate(cid) == robust::FaultKind::kCrash;
-        ops.push_back(net::ClientOp{
-            .client = cid,
-            .download_floats = payloads.download_floats,
-            .upload_floats = payloads.upload_floats,
-            .num_samples = source_->train_size(cid),
-            .epochs = local.epochs,
-            .churned = churned,
-            .upload_kind = payloads.upload_kind,
-            .download_bytes = codec_download_op_bytes(payloads.download_floats),
-            .upload_bytes = codec_upload_op_bytes(payloads.upload_floats)});
+        ops.push_back(client_op(cid, payloads, local.epochs, churned));
       }
       const net::RoundReport report =
           net_->run_round(round, ops, /*reliable=*/!allow_failures);

@@ -189,17 +189,16 @@ class Federation {
   /// Framed v3 byte size for a simulated ClientOp override: non-zero —
   /// net::wire_bytes_encoded(codec frame) — exactly when the codec
   /// applies to a `num_floats` transfer; 0 keeps the op on raw framing.
-  /// Exposed so protocol drivers building their own ClientOps (FedClust's
-  /// deferred-newcomer rounds) charge the same bytes the meter records.
   std::uint64_t codec_download_op_bytes(std::size_t num_floats) const;
   std::uint64_t codec_upload_op_bytes(std::size_t num_floats) const;
 
-  /// True when config().compression.enabled constructed codecs.
-  bool compression_enabled() const { return up_codec_ != nullptr; }
+  /// The simulated op of one client's round trip of `payloads`, with the
+  /// codec byte overrides above, so the op charges the bytes the meter
+  /// records. Every engine path that simulates a client builds it here.
+  net::ClientOp client_op(std::size_t client, const NetPayloads& payloads,
+                          std::size_t epochs, bool churned) const;
+
   const compress::UpdateCodec* upload_codec() const { return up_codec_.get(); }
-  const compress::UpdateCodec* download_codec() const {
-    return down_codec_.get();
-  }
   /// Per-tensor segment sizes of one model (nn::Model::slices order).
   std::span<const std::size_t> codec_layout() const { return layout_; }
 
@@ -225,8 +224,6 @@ class Federation {
                               const std::vector<net::ClientOp>& ops,
                               bool reliable = true);
 
-  /// Deep copy of the common initial model.
-  nn::Model make_model() const { return template_.clone(); }
   const nn::Model& template_model() const { return template_; }
   /// Learnable scalars per model (full update size on the wire).
   std::size_t model_size() const { return model_size_; }

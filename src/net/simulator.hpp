@@ -51,8 +51,6 @@ struct NetworkConfig {
   double backoff_base_s = 0.5;
   /// Reference device cost of one training sample for one epoch.
   double compute_s_per_sample = 2e-4;
-  /// Stream for jitter/drop draws; 0 = derive from the federation seed.
-  std::uint64_t seed = 0;
 };
 
 /// One client's part in a round: what it receives, computes, and sends.

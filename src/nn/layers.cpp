@@ -9,10 +9,8 @@ namespace fedclust::nn {
 // -- Conv2d ----------------------------------------------------------------
 
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
-               std::size_t kernel, std::size_t padding, std::size_t stride,
-               ConvImpl impl)
+               std::size_t kernel, std::size_t padding, std::size_t stride)
     : spec_{in_channels, out_channels, kernel, padding, stride},
-      impl_(impl),
       weight_("weight", {out_channels, in_channels, kernel, kernel}),
       bias_("bias", {out_channels}) {
   FEDCLUST_REQUIRE(in_channels > 0 && out_channels > 0 && kernel > 0,
@@ -32,50 +30,36 @@ void Conv2d::init_params(Rng& rng) {
 }
 
 Tensor Conv2d::forward(const Tensor& input, bool train) {
-  if (train) cached_input_ = input;
+  if (train) cached_input_shape_ = input.shape();
+  // A train forward leaves the column expansion in slot kColumns for the
+  // paired backward()'s dW GEMM. An eval forward must not disturb that
+  // cache (serving interleaves eval passes with training), so it expands
+  // into a separate inference-only arena.
+  ScratchArena& arena = train ? scratch_ : eval_scratch_;
   Tensor output;
-  if (impl_ == ConvImpl::kIm2col) {
-    // A train forward leaves the column expansion in slot kColumns for
-    // the paired backward()'s dW GEMM. An eval forward must not disturb
-    // that cache (serving interleaves eval passes with training), so it
-    // expands into a separate inference-only arena.
-    ScratchArena& arena = train ? scratch_ : eval_scratch_;
-    ops::conv2d_forward_im2col(input, weight_.value, bias_.value, spec_,
-                               output, arena.slot(kColumns),
-                               arena.slot(kPix), pool_);
-  } else {
-    ops::conv2d_forward(input, weight_.value, bias_.value, spec_, output);
-  }
+  ops::conv2d_forward_im2col(input, weight_.value, bias_.value, spec_, output,
+                             arena.slot(kColumns), arena.slot(kPix), pool_);
   return output;
 }
 
 void Conv2d::backward_params(const Tensor& grad_output) {
-  FEDCLUST_REQUIRE(!cached_input_.empty(), "backward before forward");
+  FEDCLUST_REQUIRE(!cached_input_shape_.empty(), "backward before forward");
   // Kernels overwrite their outputs, so per-batch gradients go to scratch
   // first and are then accumulated into the Params.
   Tensor& dw = scratch_.acquire(kGradWeight, weight_.value.shape());
   Tensor& db = scratch_.acquire(kGradBias, bias_.value.shape());
-  if (impl_ == ConvImpl::kIm2col) {
-    ops::conv2d_backward_params_im2col(grad_output, scratch_.slot(kColumns),
-                                       spec_, dw, db, scratch_.slot(kPix),
-                                       pool_);
-  } else {
-    ops::conv2d_backward_params(cached_input_, grad_output, spec_, dw, db);
-  }
+  ops::conv2d_backward_params_im2col(grad_output, scratch_.slot(kColumns),
+                                     spec_, dw, db, scratch_.slot(kPix), pool_);
   weight_.grad += dw;
   bias_.grad += db;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
   backward_params(grad_output);
-  Tensor grad_input(cached_input_.shape());
-  if (impl_ == ConvImpl::kIm2col) {
-    ops::conv2d_backward_input_im2col(grad_output, weight_.value, spec_,
-                                      grad_input, scratch_.slot(kPix),
-                                      scratch_.slot(kGradColumns), pool_);
-  } else {
-    ops::conv2d_backward_input(grad_output, weight_.value, spec_, grad_input);
-  }
+  Tensor grad_input(cached_input_shape_);
+  ops::conv2d_backward_input_im2col(grad_output, weight_.value, spec_,
+                                    grad_input, scratch_.slot(kPix),
+                                    scratch_.slot(kGradColumns), pool_);
   return grad_input;
 }
 

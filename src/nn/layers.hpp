@@ -12,25 +12,19 @@
 
 namespace fedclust::nn {
 
-/// Which convolution kernels a Conv2d layer runs on.
-enum class ConvImpl {
-  kIm2col,  ///< im2col + blocked GEMM (the fast production path)
-  kDirect,  ///< reference 7-loop direct kernels (equivalence testing)
-};
-
 /// 2-D convolution (square kernel, configurable stride/padding).
 /// Weight layout (out_channels, in_channels, k, k); Kaiming-uniform init.
 ///
-/// The default im2col path caches the column expansion from a TRAIN
-/// forward and reuses it in backward, with all temporaries held in a
-/// ScratchArena so steady-state training does zero heap allocation per
-/// batch. EVAL forwards expand into a separate inference-only arena so
-/// they never disturb a pending train cache.
+/// Runs im2col + blocked GEMM (the direct ops::conv2d_* kernels are the
+/// test reference). A TRAIN forward caches the column expansion and
+/// reuses it in backward, with all temporaries held in a ScratchArena so
+/// steady-state training does zero heap allocation per batch. EVAL
+/// forwards expand into a separate inference-only arena so they never
+/// disturb a pending train cache.
 class Conv2d final : public Layer {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
-         std::size_t padding = 0, std::size_t stride = 1,
-         ConvImpl impl = ConvImpl::kIm2col);
+         std::size_t padding = 0, std::size_t stride = 1);
 
   const char* type() const override { return "conv2d"; }
   Tensor forward(const Tensor& input, bool train) override;
@@ -51,9 +45,6 @@ class Conv2d final : public Layer {
   };
 
   const ops::Conv2dSpec& spec() const { return spec_; }
-
-  ConvImpl impl() const { return impl_; }
-  void set_impl(ConvImpl impl) { impl_ = impl; }
 
   /// Heap (re)allocations the scratch arena has performed so far; stable
   /// across batches once shapes reach steady state.
@@ -76,10 +67,9 @@ class Conv2d final : public Layer {
 
  private:
   ops::Conv2dSpec spec_;
-  ConvImpl impl_;
   Param weight_;
   Param bias_;
-  Tensor cached_input_;
+  Shape cached_input_shape_;
   ScratchArena scratch_;       // train-mode workspaces (kColumns feeds backward)
   ScratchArena eval_scratch_;  // eval-mode im2col workspaces (slots kColumns/kPix)
   ThreadPool* pool_ = nullptr;  // borrowed; null = single-threaded kernels

@@ -40,7 +40,6 @@ class Sgd {
   void step();
 
   const SgdConfig& config() const { return config_; }
-  void set_lr(double lr) { config_.lr = lr; }
 
  private:
   Model& model_;

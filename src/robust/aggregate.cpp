@@ -88,19 +88,17 @@ std::vector<float> norm_clip(const std::vector<std::span<const float>>& inputs,
                              std::span<const float> reference,
                              ThreadPool* pool) {
   const std::size_t n = inputs.size();
-  FEDCLUST_REQUIRE(reference.empty() || reference.size() == dim,
+  FEDCLUST_REQUIRE(reference.size() == dim,
                    "norm-clip reference size mismatch");
   FEDCLUST_REQUIRE(clip_factor > 0.0, "clip_factor must be positive");
-  const auto ref_at = [&](std::size_t d) -> double {
-    return reference.empty() ? 0.0 : static_cast<double>(reference[d]);
-  };
 
   // Delta norms about the reference, then the median as the clip anchor.
   std::vector<double> norms(n, 0.0);
   for (std::size_t u = 0; u < n; ++u) {
     double sq = 0.0;
     for (std::size_t d = 0; d < dim; ++d) {
-      const double diff = static_cast<double>(inputs[u][d]) - ref_at(d);
+      const double diff = static_cast<double>(inputs[u][d]) -
+                          static_cast<double>(reference[d]);
       sq += diff * diff;
     }
     norms[u] = std::sqrt(sq);
@@ -123,7 +121,7 @@ std::vector<float> norm_clip(const std::vector<std::span<const float>>& inputs,
   std::vector<float> out(dim);
   chunked(dim, pool, [&](std::size_t begin, std::size_t end) {
     for (std::size_t d = begin; d < end; ++d) {
-      const double r = ref_at(d);
+      const double r = static_cast<double>(reference[d]);
       double acc = 0.0;
       for (std::size_t u = 0; u < n; ++u) {
         const double clipped =

@@ -59,9 +59,9 @@ struct RobustConfig {
 /// Aggregates `inputs` (equal-length weight vectors) under `rule`.
 /// `coefficients` are the normalized sample weights (used by kNormClip;
 /// ignored by the trimmed mean and median, which are unweighted).
-/// `reference` anchors kNormClip deltas — pass the pre-round model; an
-/// empty span anchors at zero. `pool` may be null; any pool size yields
-/// bit-identical output.
+/// `reference` anchors kNormClip deltas — the pre-round model, required
+/// (dim floats) by kNormClip and ignored by the other rules. `pool` may
+/// be null; any pool size yields bit-identical output.
 std::vector<float> robust_aggregate(
     const std::vector<std::span<const float>>& inputs,
     const std::vector<double>& coefficients, AggregationRule rule,

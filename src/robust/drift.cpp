@@ -30,10 +30,10 @@ const char* to_string(DriftKind kind) {
   return "?";
 }
 
-DriftPlan::DriftPlan(const DriftConfig& config, std::uint64_t base_seed,
+DriftPlan::DriftPlan(const DriftConfig& config, std::uint64_t seed,
                      std::size_t num_clients, std::size_t num_classes)
     : config_(config),
-      seed_(config.seed != 0 ? config.seed : base_seed),
+      seed_(seed),
       num_clients_(num_clients),
       num_classes_(num_classes) {
   FEDCLUST_REQUIRE(num_clients_ > 0, "drift plan needs a non-empty fleet");

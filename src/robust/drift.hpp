@@ -74,8 +74,6 @@ struct DriftConfig {
   /// Whether kArrival newcomers get a fresh per-generation label
   /// rotation (true) or replay the slot's base shard (false).
   bool rotate_newcomers = true;
-  /// Stream for drift draws; 0 = derive from the federation seed.
-  std::uint64_t seed = 0;
 };
 
 /// The deterministic drift schedule. Stateless apart from its config and
@@ -86,7 +84,7 @@ class DriftPlan {
   /// Resolves every event's slot cohort up front (explicit lists are
   /// sorted and deduplicated; fractional cohorts are drawn from the
   /// event's seed stream) and sorts events by round, stably.
-  DriftPlan(const DriftConfig& config, std::uint64_t base_seed,
+  DriftPlan(const DriftConfig& config, std::uint64_t seed,
             std::size_t num_clients, std::size_t num_classes);
 
   std::size_t num_clients() const { return num_clients_; }

@@ -34,9 +34,9 @@ const char* to_string(FaultKind kind) {
   return "unknown";
 }
 
-FaultPlan::FaultPlan(const FaultConfig& config, std::uint64_t base_seed)
+FaultPlan::FaultPlan(const FaultConfig& config, std::uint64_t seed)
     : config_(config),
-      seed_(config.seed != 0 ? config.seed : base_seed),
+      seed_(seed),
       byzantine_sorted_(config.byzantine_clients) {
   const auto check_prob = [](double p, const char* name) {
     FEDCLUST_REQUIRE(p >= 0.0 && p <= 1.0,

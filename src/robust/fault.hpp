@@ -79,15 +79,13 @@ struct FaultConfig {
   /// formation round; 1 spares it (the Byzantine-aggregation demos use
   /// this to isolate the training-round attack).
   std::size_t start_round = 0;
-  /// Stream for fault draws; 0 = derive from the federation seed.
-  std::uint64_t seed = 0;
 };
 
 /// The deterministic fault schedule. Stateless apart from its config and
 /// seed: decide() is a pure function of (round, client, attempt).
 class FaultPlan {
  public:
-  FaultPlan(const FaultConfig& config, std::uint64_t base_seed);
+  FaultPlan(const FaultConfig& config, std::uint64_t seed);
 
   /// The fault (or kNone) striking `client` in `round`. `attempt`
   /// distinguishes re-solicitations of the same round (FedClust's

@@ -1,6 +1,5 @@
 #include "utils/logging.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <mutex>
@@ -8,7 +7,6 @@
 namespace fedclust {
 namespace {
 
-std::atomic<int> g_level{static_cast<int>(LogLevel::kInfo)};
 std::mutex g_log_mutex;
 
 const char* level_name(LogLevel level) {
@@ -28,13 +26,7 @@ const char* level_name(LogLevel level) {
 
 }  // namespace
 
-void set_log_level(LogLevel level) {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel log_level() {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
+LogLevel log_level() { return LogLevel::kInfo; }
 
 namespace detail {
 

@@ -12,8 +12,7 @@ namespace fedclust {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Sets the global threshold; messages below it are dropped.
-void set_log_level(LogLevel level);
+/// The threshold, kInfo: messages below it are dropped.
 LogLevel log_level();
 
 namespace detail {

@@ -34,7 +34,6 @@ class TextTable {
   /// Writes to_csv() to `path`, creating/truncating the file.
   void write_csv(const std::string& path) const;
 
-  std::size_t num_rows() const { return rows_.size(); }
   const std::vector<std::string>& headers() const { return headers_; }
   const std::vector<std::vector<std::string>>& rows() const { return rows_; }
 

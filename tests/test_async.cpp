@@ -107,36 +107,6 @@ TEST(AsyncStaleness, FlushMixingMatchesHandComputedMean) {
   }
 }
 
-TEST(AsyncStaleness, DecayTowardHandComputed) {
-  // out = current + lr * (target - current) in double per coordinate:
-  // {1,2} toward {3,6} at lr 0.5 → {2,4}.
-  const std::vector<float> current{1.0f, 2.0f};
-  const std::vector<float> target{3.0f, 6.0f};
-  const std::vector<float> half = decay_toward(current, target, 0.5);
-  ASSERT_EQ(half.size(), 2u);
-  EXPECT_EQ(half[0], 2.0f);
-  EXPECT_EQ(half[1], 4.0f);
-  // lr = 1 is exact identity on the target.
-  EXPECT_EQ(decay_toward(current, target, 1.0), target);
-}
-
-TEST(AsyncStaleness, LrDecayOffIsBitIdentical) {
-  // lr_decay_staleness = 0 disables the knob entirely; the engine must
-  // reproduce the pre-knob trajectory bit for bit.
-  AsyncConfig plain;
-  plain.buffer_k = 2;
-  AsyncConfig off = plain;
-  off.lr_decay_staleness = 0.0;
-  off.lr_decay = 0.25;
-  const FederationConfig cfg = cellular_config();
-  auto run_with = [&](const AsyncConfig& ac) {
-    auto [fed, groups] = make_grouped_federation(6, 480, 42, cfg);
-    algorithms::FedAvg algo;
-    return run_async(fed, algo, ac, 5);
-  };
-  expect_same_rounds(run_with(plain), run_with(off));
-}
-
 // -- async determinism --------------------------------------------------------
 
 AsyncConfig small_async() {

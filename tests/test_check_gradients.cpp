@@ -58,8 +58,7 @@ TEST(GradCheck, Conv2dIm2col) {
     const Shape in = random_nchw(shapes);
     const std::size_t kernel = 2 + shapes.uniform_int(2);  // 2 or 3
     nn::Conv2d conv(in[1], 1 + shapes.uniform_int(4), kernel,
-                    /*padding=*/shapes.uniform_int(2), /*stride=*/1,
-                    nn::ConvImpl::kIm2col);
+                    /*padding=*/shapes.uniform_int(2), /*stride=*/1);
     Rng init(0xc0 + i);
     conv.init_params(init);
     const Tensor x = Tensor::randn(in, shapes);
@@ -67,31 +66,15 @@ TEST(GradCheck, Conv2dIm2col) {
   }
 }
 
-TEST(GradCheck, Conv2dDirect) {
-  Rng shapes(kShapeSeed + 1);
-  for (std::size_t i = 0; i < 3; ++i) {
-    const Shape in = random_nchw(shapes);
-    const std::size_t kernel = 2 + shapes.uniform_int(2);
-    nn::Conv2d conv(in[1], 1 + shapes.uniform_int(4), kernel,
-                    /*padding=*/shapes.uniform_int(2), /*stride=*/1,
-                    nn::ConvImpl::kDirect);
-    Rng init(0xd0 + i);
-    conv.init_params(init);
-    const Tensor x = Tensor::randn(in, shapes);
-    expect_passed(check_layer(conv, x, config_for(i)));
-  }
-}
-
 TEST(GradCheck, Conv2dStridedBothImpls) {
-  for (const nn::ConvImpl impl :
-       {nn::ConvImpl::kIm2col, nn::ConvImpl::kDirect}) {
-    nn::Conv2d conv(2, 3, 3, /*padding=*/1, /*stride=*/2, impl);
-    Rng init(0xe0);
-    conv.init_params(init);
-    Rng data(0xe1);
-    const Tensor x = Tensor::randn({2, 2, 7, 7}, data);
-    expect_passed(check_layer(conv, x, config_for(0)));
-  }
+  // Conv2d runs im2col only; the direct reference kernels are compared
+  // against it in Conv2d.Im2colMatchesDirectAcrossGeometries.
+  nn::Conv2d conv(2, 3, 3, /*padding=*/1, /*stride=*/2);
+  Rng init(0xe0);
+  conv.init_params(init);
+  Rng data(0xe1);
+  const Tensor x = Tensor::randn({2, 2, 7, 7}, data);
+  expect_passed(check_layer(conv, x, config_for(0)));
 }
 
 TEST(GradCheck, Linear) {

@@ -11,7 +11,6 @@
 #include <string>
 
 #include "cluster/distance.hpp"
-#include "cluster/kmeans.hpp"
 #include "cluster/metrics.hpp"
 #include "utils/rng.hpp"
 #include "utils/thread_pool.hpp"
@@ -386,68 +385,6 @@ TEST(HierarchicalReference, CandidateRoundingBackToItsBoundIsRescanned) {
   EXPECT_EQ(dendro.merges[6].a, 0u);
   EXPECT_EQ(dendro.merges[6].b, 13u);  // slot 1's cluster, formed 5th
   expect_matches_naive(d, "rounding tie");
-}
-
-// -- k-means -------------------------------------------------------------------
-
-TEST(KMeans, SeparatesTwoBlobs) {
-  const auto pts = two_blobs(6, 90);
-  Rng rng(91);
-  const KMeansResult r = kmeans(pts, 2, rng);
-  EXPECT_TRUE(r.converged);
-  // First 6 in one cluster, last 6 in the other.
-  for (std::size_t i = 1; i < 6; ++i) EXPECT_EQ(r.labels[i], r.labels[0]);
-  for (std::size_t i = 7; i < 12; ++i) EXPECT_EQ(r.labels[i], r.labels[6]);
-  EXPECT_NE(r.labels[0], r.labels[6]);
-}
-
-TEST(KMeans, KEqualsOneGivesGrandCentroid) {
-  const auto pts = two_blobs(4, 92);
-  Rng rng(93);
-  const KMeansResult r = kmeans(pts, 1, rng);
-  ASSERT_EQ(r.centers.size(), 1u);
-  double mean_x = 0.0;
-  for (const auto& p : pts) mean_x += p[0];
-  mean_x /= static_cast<double>(pts.size());
-  EXPECT_NEAR(r.centers[0][0], mean_x, 1e-6);
-}
-
-TEST(KMeans, KEqualsNGivesZeroInertia) {
-  const auto pts = two_blobs(3, 94);
-  Rng rng(95);
-  const KMeansResult r = kmeans(pts, pts.size(), rng);
-  EXPECT_NEAR(r.inertia, 0.0, 1e-9);
-}
-
-TEST(KMeans, InertiaDecreasesWithK) {
-  const auto pts = two_blobs(8, 96);
-  Rng r1(97), r2(97);
-  const double i2 = kmeans(pts, 2, r1).inertia;
-  const double i4 = kmeans(pts, 4, r2).inertia;
-  EXPECT_LE(i4, i2 + 1e-9);
-}
-
-TEST(KMeans, DeterministicGivenRng) {
-  const auto pts = two_blobs(5, 98);
-  Rng a(99), b(99);
-  EXPECT_EQ(kmeans(pts, 2, a).labels, kmeans(pts, 2, b).labels);
-}
-
-TEST(KMeans, ValidatesArguments) {
-  Rng rng(1);
-  EXPECT_THROW(kmeans({}, 1, rng), Error);
-  const std::vector<std::vector<float>> pts{{1.0f}, {2.0f}};
-  EXPECT_THROW(kmeans(pts, 0, rng), Error);
-  EXPECT_THROW(kmeans(pts, 3, rng), Error);
-}
-
-TEST(KMeans, AgreesWithHcOnCrispStructure) {
-  const auto pts = two_blobs(6, 100);
-  Rng rng(101);
-  const KMeansResult km = kmeans(pts, 2, rng);
-  const auto dendro = agglomerative_cluster(pairwise_euclidean(pts),
-                                            Linkage::kAverage);
-  EXPECT_DOUBLE_EQ(adjusted_rand_index(km.labels, dendro.cut_k(2)), 1.0);
 }
 
 // -- threshold suggestion -----------------------------------------------------

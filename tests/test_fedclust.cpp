@@ -94,16 +94,21 @@ TEST(FormClusters, RecoversGroundTruthGroups) {
 }
 
 TEST(FormClusters, UploadIsPartialOnly) {
+  // The formation round meters a full model down and only the final
+  // layer up per client.
   auto [fed, groups] = make_grouped_federation(4, 320, 42, fast_config());
   FedClust algo({});
-  const ClusteringOutcome out = algo.form_clusters(fed);
+  fl::RunResult result;
+  std::vector<std::size_t> labels;
+  std::vector<std::vector<float>> cluster_weights;
+  algo.formation_phase(fed, result, labels, cluster_weights);
   const auto slices =
       resolve_partial_slices(fed.template_model(), "final");
-  EXPECT_EQ(out.upload_bytes,
+  EXPECT_EQ(fed.comm().total_upload(),
             fl::CommMeter::float_bytes(slices_numel(slices)) * 4);
-  EXPECT_EQ(out.download_bytes,
+  EXPECT_EQ(fed.comm().total_download(),
             fl::CommMeter::float_bytes(fed.model_size()) * 4);
-  EXPECT_LT(out.upload_bytes, out.download_bytes);
+  EXPECT_LT(fed.comm().total_upload(), fed.comm().total_download());
 }
 
 TEST(FormClusters, ExplicitThresholdHonored) {

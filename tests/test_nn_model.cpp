@@ -240,12 +240,11 @@ INSTANTIATE_TEST_SUITE_P(Builders, BuilderRoundTrip, ::testing::Range(0, 4),
 
 // Model::backward never forms the model-input gradient; the parameter
 // gradients must still be bit-for-bit those of a full layer-by-layer
-// backward, for every builder and both convolution implementations.
+// backward, for every builder.
 struct BackwardCase {
   const char* name;
   Model (*build)();
   Shape input;
-  ConvImpl impl;
 };
 
 void PrintTo(const BackwardCase& c, std::ostream* os) { *os << c.name; }
@@ -255,11 +254,6 @@ class ModelBackward : public ::testing::TestWithParam<BackwardCase> {};
 TEST_P(ModelBackward, ParamGradsMatchFullLayerByLayerBackward) {
   const BackwardCase& c = GetParam();
   Model model = c.build();
-  for (std::size_t i = 0; i < model.num_layers(); ++i) {
-    if (auto* conv = dynamic_cast<Conv2d*>(&model.layer(i))) {
-      conv->set_impl(c.impl);
-    }
-  }
   Rng rng(41);
   model.init_params(rng);
   Model manual = model.clone();
@@ -286,20 +280,12 @@ TEST_P(ModelBackward, ParamGradsMatchFullLayerByLayerBackward) {
 }
 
 const BackwardCase kBackwardCases[] = {
-    {"lenet5_im2col", [] { return lenet5({1, 28, 28, 10}); }, {3, 1, 28, 28},
-     ConvImpl::kIm2col},
-    {"lenet5_direct", [] { return lenet5({1, 28, 28, 10}); }, {3, 1, 28, 28},
-     ConvImpl::kDirect},
+    {"lenet5_im2col", [] { return lenet5({1, 28, 28, 10}); }, {3, 1, 28, 28}},
     {"lenet5_bn_im2col", [] { return lenet5_bn({1, 28, 28, 10}); },
-     {3, 1, 28, 28}, ConvImpl::kIm2col},
-    {"lenet5_bn_direct", [] { return lenet5_bn({1, 28, 28, 10}); },
-     {3, 1, 28, 28}, ConvImpl::kDirect},
+     {3, 1, 28, 28}},
     {"vgg_mini_im2col", [] { return vgg_mini({3, 32, 32, 10}); },
-     {2, 3, 32, 32}, ConvImpl::kIm2col},
-    {"vgg_mini_direct", [] { return vgg_mini({3, 32, 32, 10}); },
-     {2, 3, 32, 32}, ConvImpl::kDirect},
-    {"mlp", [] { return mlp({1, 28, 28, 10}, 32); }, {3, 1, 28, 28},
-     ConvImpl::kIm2col},
+     {2, 3, 32, 32}},
+    {"mlp", [] { return mlp({1, 28, 28, 10}, 32); }, {3, 1, 28, 28}},
 };
 
 INSTANTIATE_TEST_SUITE_P(

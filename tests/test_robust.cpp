@@ -379,6 +379,15 @@ TEST(RobustAggregate, NormClipBoundsTheBlowup) {
   EXPECT_NEAR(out[0], 1.0f, 1e-6);
 }
 
+TEST(RobustAggregate, NormClipRequiresReference) {
+  // Deltas are clipped about the pre-round model; without one there is
+  // nothing to clip about.
+  const std::vector<std::vector<float>> inputs{{1.0f}, {100.0f}};
+  EXPECT_THROW(robust_aggregate(as_spans(inputs), {0.5, 0.5},
+                                AggregationRule::kNormClip, {}, {}, nullptr),
+               Error);
+}
+
 TEST(RobustAggregate, BitIdenticalAcrossPoolSizes) {
   // Large enough to cross the chunking threshold so the parallel path
   // actually engages.

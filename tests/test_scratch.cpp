@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "nn/layers.hpp"
+#include "tensor/ops.hpp"
 #include "utils/rng.hpp"
 
 namespace fedclust {
@@ -112,36 +113,43 @@ TEST(Conv2dScratch, SmallerBatchReusesCapacity) {
   EXPECT_EQ(conv.scratch_footprint(), footprint);
 }
 
-// Both Conv2d implementations produce the same training step — the layer
-// equivalent of the kernel-level equivalence tests.
+// The im2col layer's training step matches the direct reference kernels
+// (ops::conv2d_*) — the layer equivalent of the kernel-level equivalence
+// tests.
 TEST(Conv2dScratch, DirectAndIm2colLayersAgree) {
   Rng rng(9);
-  nn::Conv2d fast(3, 5, 3, 1, 2, nn::ConvImpl::kIm2col);
-  fast.init_params(rng);
-  nn::Conv2d ref(3, 5, 3, 1, 2, nn::ConvImpl::kDirect);
-  // Copy parameters so both layers compute the same function.
-  ref.params()[0]->value = fast.params()[0]->value;
-  ref.params()[1]->value = fast.params()[1]->value;
+  nn::Conv2d conv(3, 5, 3, 1, 2);
+  conv.init_params(rng);
+  const Tensor& weight = conv.params()[0]->value;
+  const Tensor& bias = conv.params()[1]->value;
 
   const Tensor input = Tensor::randn({2, 3, 9, 9}, rng);
-  const Tensor out_fast = fast.forward(input, true);
-  const Tensor out_ref = ref.forward(input, true);
-  ASSERT_EQ(out_fast.shape(), out_ref.shape());
+  const Tensor out = conv.forward(input, true);
+  Tensor out_ref;
+  ops::conv2d_forward(input, weight, bias, conv.spec(), out_ref);
+  ASSERT_EQ(out.shape(), out_ref.shape());
   for (std::size_t i = 0; i < out_ref.numel(); ++i) {
-    ASSERT_NEAR(out_fast[i], out_ref[i], 1e-4f) << "forward at " << i;
+    ASSERT_NEAR(out[i], out_ref[i], 1e-4f) << "forward at " << i;
   }
 
   const Tensor g = Tensor::randn(out_ref.shape(), rng);
-  const Tensor din_fast = fast.backward(g);
-  const Tensor din_ref = ref.backward(g);
+  const Tensor din = conv.backward(g);
+  Tensor din_ref(input.shape());
+  ops::conv2d_backward_input(g, weight, conv.spec(), din_ref);
+  ASSERT_EQ(din.shape(), din_ref.shape());
   for (std::size_t i = 0; i < din_ref.numel(); ++i) {
-    ASSERT_NEAR(din_fast[i], din_ref[i], 1e-4f) << "grad_input at " << i;
+    ASSERT_NEAR(din[i], din_ref[i], 1e-4f) << "grad_input at " << i;
   }
+  Tensor dw_ref(weight.shape());
+  Tensor db_ref(bias.shape());
+  ops::conv2d_backward_params(input, g, conv.spec(), dw_ref, db_ref);
+  const Tensor* grad_refs[] = {&dw_ref, &db_ref};
   for (std::size_t p = 0; p < 2; ++p) {
-    const Tensor& gf = fast.params()[p]->grad;
-    const Tensor& gr = ref.params()[p]->grad;
-    for (std::size_t i = 0; i < gr.numel(); ++i) {
-      ASSERT_NEAR(gf[i], gr[i], 1e-4f) << "param " << p << " grad at " << i;
+    const Tensor& got = conv.params()[p]->grad;
+    const Tensor& want = *grad_refs[p];
+    ASSERT_EQ(got.shape(), want.shape());
+    for (std::size_t i = 0; i < want.numel(); ++i) {
+      ASSERT_NEAR(got[i], want[i], 1e-4f) << "param " << p << " grad at " << i;
     }
   }
 }
