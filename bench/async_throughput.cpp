@@ -43,6 +43,25 @@ constexpr std::size_t kClients = 12;
 constexpr double kTarget = 0.55;
 constexpr std::size_t kSyncRounds = 40;
 
+/// One (algorithm, engine mode, network profile) cell; kept as a struct
+/// because speedup_vs_sync is computed against the cell's sync baseline.
+struct ModeCell {
+  std::string algorithm;  ///< "FedAvg" | "FedClust"
+  std::string mode;       ///< "sync" | "async_k4" | "async_k16" | ...
+  std::string profile;    ///< "lan" | "cellular" | "heterogeneous"
+  std::size_t buffer_k = 0;  ///< 0 for the sync baseline
+  std::size_t rounds = 0;    ///< sync rounds or async flushes executed
+  bool reached = false;             ///< the run hit kTarget
+  double seconds_to_target = 0.0;   ///< sim_seconds at the first hit
+  double seconds_total = 0.0;       ///< sim_seconds at run end
+  double final_acc = 0.0;
+  double upload_mb = 0.0;
+  double download_mb = 0.0;
+  /// sync seconds_to_target / this mode's, within (algorithm, profile);
+  /// 1.0 for the sync baseline itself, 0 when either side missed target.
+  double speedup_vs_sync = 0.0;
+};
+
 fl::Federation build_federation(net::Profile profile, std::uint64_t seed) {
   const data::SyntheticGenerator generator(data::SyntheticKind::kFmnist,
                                            seed);
@@ -85,19 +104,16 @@ fl::Federation build_federation(net::Profile profile, std::uint64_t seed) {
   return fl::Federation(std::move(model), std::move(clients), config);
 }
 
-bench::AsyncBenchResult summarize(const std::string& algorithm,
-                                  const std::string& mode,
-                                  const std::string& profile,
-                                  std::size_t buffer_k, std::size_t rounds,
-                                  const fl::RunResult& result,
-                                  const fl::Federation& fed) {
-  bench::AsyncBenchResult r;
+ModeCell summarize(const std::string& algorithm, const std::string& mode,
+                   const std::string& profile, std::size_t buffer_k,
+                   std::size_t rounds, const fl::RunResult& result,
+                   const fl::Federation& fed) {
+  ModeCell r;
   r.algorithm = algorithm;
   r.mode = mode;
   r.profile = profile;
   r.buffer_k = buffer_k;
   r.rounds = rounds;
-  r.target_acc = kTarget;
   r.reached = result.time_to_accuracy(kTarget, r.seconds_to_target);
   r.seconds_total = fed.sim_time();
   r.final_acc = result.final_accuracy.mean;
@@ -187,7 +203,7 @@ int main(int argc, char** argv) {
               "profile", "rounds", "final%", "s to tgt", "speedup",
               "up MB");
 
-  std::vector<bench::AsyncBenchResult> results;
+  std::vector<ModeCell> results;
   double headline = 0.0;
   for (const std::string algorithm : {"FedAvg", "FedClust"}) {
     for (const net::Profile profile : profiles) {
@@ -196,9 +212,8 @@ int main(int argc, char** argv) {
       fl::Federation sync_fed = build_federation(profile, seed);
       const fl::RunResult sync_res =
           run_sync(algorithm, sync_fed, sync_rounds);
-      bench::AsyncBenchResult sync_row =
-          summarize(algorithm, "sync", pname, 0, sync_rounds, sync_res,
-                    sync_fed);
+      ModeCell sync_row = summarize(algorithm, "sync", pname, 0, sync_rounds,
+                                    sync_res, sync_fed);
       sync_row.speedup_vs_sync = 1.0;
       results.push_back(sync_row);
 
@@ -218,9 +233,8 @@ int main(int argc, char** argv) {
           return 2;
         }
         measured.push_back(std::move(sizes));
-        bench::AsyncBenchResult row =
-            summarize(algorithm, "async_k" + std::to_string(k), pname, k,
-                      flushes, res, fed);
+        ModeCell row = summarize(algorithm, "async_k" + std::to_string(k),
+                                 pname, k, flushes, res, fed);
         if (sync_row.reached && row.reached && row.seconds_to_target > 0.0) {
           row.speedup_vs_sync =
               sync_row.seconds_to_target / row.seconds_to_target;
@@ -233,7 +247,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  for (const bench::AsyncBenchResult& r : results) {
+  std::vector<bench::JsonRow> rows;
+  for (const ModeCell& r : results) {
     char secs[32] = "-";
     char speed[32] = "-";
     if (r.reached) {
@@ -245,9 +260,23 @@ int main(int argc, char** argv) {
     std::printf("%-9s %-9s %-14s %7zu %8.1f%% %13s %11s %9.1f\n",
                 r.algorithm.c_str(), r.mode.c_str(), r.profile.c_str(),
                 r.rounds, 100.0 * r.final_acc, secs, speed, r.upload_mb);
+    rows.push_back(bench::JsonRow()
+                       .add("algorithm", r.algorithm)
+                       .add("mode", r.mode)
+                       .add("profile", r.profile)
+                       .add("buffer_k", r.buffer_k)
+                       .add("rounds", r.rounds)
+                       .add("target_acc", kTarget)
+                       .add("reached", r.reached)
+                       .add("seconds_to_target", r.seconds_to_target)
+                       .add("seconds_total", r.seconds_total)
+                       .add("final_acc", r.final_acc)
+                       .add("upload_mb", r.upload_mb)
+                       .add("download_mb", r.download_mb)
+                       .add("speedup_vs_sync", r.speedup_vs_sync));
   }
 
-  bench::write_async_bench_json(opt.out, results);
+  bench::write_json_rows(opt.out, rows);
   std::printf("\nwrote %s\n", opt.out.c_str());
   if (!opt.quick) {
     std::printf("headline: async FedClust vs sync FedClust on cellular/50%% "

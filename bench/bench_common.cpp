@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
+#include <sstream>
 
 #include "nn/models.hpp"
 
@@ -68,38 +69,6 @@ std::vector<std::unique_ptr<fl::Algorithm>> make_algorithms(
   return algos;
 }
 
-void write_kernel_bench_json(const std::string& path,
-                             const std::vector<KernelBenchResult>& results) {
-  std::ofstream out(path);
-  FEDCLUST_REQUIRE(out.good(), "cannot open " << path << " for writing");
-  out << std::fixed << std::setprecision(4) << "[\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const KernelBenchResult& r = results[i];
-    out << "  {\"op\": \"" << r.op << "\", \"variant\": \"" << r.variant
-        << "\", \"shape\": \"" << r.shape << "\", \"ms\": " << r.ms
-        << ", \"gflops\": " << r.gflops << ", \"speedup\": " << r.speedup
-        << "}" << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
-}
-
-void write_robustness_bench_json(
-    const std::string& path,
-    const std::vector<RobustnessBenchResult>& results) {
-  std::ofstream out(path);
-  FEDCLUST_REQUIRE(out.good(), "cannot open " << path << " for writing");
-  out << std::fixed << std::setprecision(4) << "[\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const RobustnessBenchResult& r = results[i];
-    out << "  {\"algorithm\": \"" << r.algorithm << "\", \"scenario\": \""
-        << r.scenario << "\", \"rule\": \"" << r.rule
-        << "\", \"acc_mean\": " << r.acc_mean << ", \"acc_std\": " << r.acc_std
-        << ", \"clean_retention\": " << r.clean_retention << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
-}
-
 namespace {
 
 /// Reads one "<key>:   <kB> kB" line from /proc/self/status; 0 when the
@@ -118,6 +87,12 @@ double proc_status_mb(const char* key) {
   return 0.0;
 }
 
+std::string fixed4(double value) {
+  std::ostringstream oss;
+  oss << std::fixed << std::setprecision(4) << value;
+  return oss.str();
+}
+
 }  // namespace
 
 double current_rss_mb() { return proc_status_mb("VmRSS"); }
@@ -132,120 +107,49 @@ void require_max_rss(double limit_mb) {
                                                 << limit_mb << " MiB");
 }
 
-void write_fleet_bench_json(const std::string& path,
-                            const std::vector<FleetBenchResult>& results) {
-  std::ofstream out(path);
-  FEDCLUST_REQUIRE(out.good(), "cannot open " << path << " for writing");
-  out << std::fixed << std::setprecision(4) << "[\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const FleetBenchResult& r = results[i];
-    out << "  {\"clients\": " << r.clients << ", \"cohort\": " << r.cohort
-        << ", \"rounds\": " << r.rounds << ", \"edges\": " << r.edges
-        << ", \"round_ms_mean\": " << r.round_ms_mean
-        << ", \"round_ms_p50\": " << r.round_ms_p50
-        << ", \"round_ms_p99\": " << r.round_ms_p99
-        << ", \"round_ms_p999\": " << r.round_ms_p999
-        << ", \"acc_mean_last\": " << r.acc_mean_last
-        << ", \"vm_rss_mb\": " << r.vm_rss_mb
-        << ", \"vm_hwm_mb\": " << r.vm_hwm_mb
-        << ", \"rss_limit_mb\": " << r.rss_limit_mb
-        << ", \"upload_bytes\": " << r.upload_bytes
-        << ", \"download_bytes\": " << r.download_bytes
-        << ", \"server_link_floats\": " << r.server_link_floats
-        << ", \"flat_link_floats\": " << r.flat_link_floats
-        << ", \"weights_fp_chain\": " << r.weights_fp_chain
-        << ", \"resident_shards\": " << r.resident_shards << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
+JsonRow& JsonRow::add_raw(const std::string& key, const std::string& value) {
+  if (!fields_.empty()) fields_ += ", ";
+  fields_ += "\"" + key + "\": " + value;
+  return *this;
 }
 
-void write_compress_bench_json(
-    const std::string& path, const std::vector<CompressBenchResult>& results) {
-  std::ofstream out(path);
-  FEDCLUST_REQUIRE(out.good(), "cannot open " << path << " for writing");
-  out << std::fixed << std::setprecision(4) << "[\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CompressBenchResult& r = results[i];
-    out << "  {\"algorithm\": \"" << r.algorithm << "\", \"codec\": \""
-        << r.codec << "\", \"rounds\": " << r.rounds
-        << ", \"upload_bytes\": " << r.upload_bytes
-        << ", \"download_bytes\": " << r.download_bytes
-        << ", \"upload_reduction\": " << r.upload_reduction
-        << ", \"acc_mean\": " << r.acc_mean << ", \"acc_std\": " << r.acc_std
-        << ", \"acc_delta_pts\": " << r.acc_delta_pts
-        << ", \"pareto\": " << (r.pareto ? "true" : "false") << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
+JsonRow& JsonRow::add(const std::string& key, const std::string& value) {
+  return add_raw(key, "\"" + value + "\"");
 }
 
-void write_async_bench_json(const std::string& path,
-                            const std::vector<AsyncBenchResult>& results) {
-  std::ofstream out(path);
-  FEDCLUST_REQUIRE(out.good(), "cannot open " << path << " for writing");
-  out << std::fixed << std::setprecision(4) << "[\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const AsyncBenchResult& r = results[i];
-    out << "  {\"algorithm\": \"" << r.algorithm << "\", \"mode\": \""
-        << r.mode << "\", \"profile\": \"" << r.profile
-        << "\", \"buffer_k\": " << r.buffer_k << ", \"rounds\": " << r.rounds
-        << ", \"target_acc\": " << r.target_acc
-        << ", \"reached\": " << (r.reached ? "true" : "false")
-        << ", \"seconds_to_target\": " << r.seconds_to_target
-        << ", \"seconds_total\": " << r.seconds_total
-        << ", \"final_acc\": " << r.final_acc
-        << ", \"upload_mb\": " << r.upload_mb
-        << ", \"download_mb\": " << r.download_mb
-        << ", \"speedup_vs_sync\": " << r.speedup_vs_sync << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
+JsonRow& JsonRow::add(const std::string& key, const char* value) {
+  return add(key, std::string(value));
 }
 
-void write_serving_bench_json(const std::string& path,
-                              const std::vector<ServingBenchResult>& results) {
-  std::ofstream out(path);
-  FEDCLUST_REQUIRE(out.good(), "cannot open " << path << " for writing");
-  out << std::fixed << std::setprecision(4) << "[\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const ServingBenchResult& r = results[i];
-    out << "  {\"model\": \"" << r.model << "\", \"mode\": \"" << r.mode
-        << "\", \"max_batch\": " << r.max_batch
-        << ", \"workers\": " << r.workers << ", \"requests\": " << r.requests
-        << ", \"clusters\": " << r.clusters << ", \"rps\": " << r.rps
-        << ", \"p50_ms\": " << r.p50_ms << ", \"p99_ms\": " << r.p99_ms
-        << ", \"p999_ms\": " << r.p999_ms
-        << ", \"mean_batch_rows\": " << r.mean_batch_rows
-        << ", \"accuracy\": " << r.accuracy << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
+JsonRow& JsonRow::add(const std::string& key, std::uint64_t value) {
+  return add_raw(key, std::to_string(value));
 }
 
-void write_drift_bench_json(const std::string& path,
-                            const std::vector<DriftBenchResult>& results) {
+JsonRow& JsonRow::add(const std::string& key, double value) {
+  return add_raw(key, fixed4(value));
+}
+
+JsonRow& JsonRow::add(const std::string& key, bool value) {
+  return add_raw(key, value ? "true" : "false");
+}
+
+JsonRow& JsonRow::add(const std::string& key,
+                      const std::vector<double>& values) {
+  std::string list = "[";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    list += (i ? ", " : "") + fixed4(values[i]);
+  }
+  return add_raw(key, list + "]");
+}
+
+void write_json_rows(const std::string& path,
+                     const std::vector<JsonRow>& rows) {
   std::ofstream out(path);
   FEDCLUST_REQUIRE(out.good(), "cannot open " << path << " for writing");
-  out << std::fixed << std::setprecision(4) << "[\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const DriftBenchResult& r = results[i];
-    out << "  {\"mode\": \"" << r.mode << "\", \"rounds\": " << r.rounds
-        << ", \"drift_round\": " << r.drift_round
-        << ", \"pre_drift_acc\": " << r.pre_drift_acc
-        << ", \"trough_acc\": " << r.trough_acc
-        << ", \"final_acc\": " << r.final_acc
-        << ", \"detect_round\": " << r.detect_round
-        << ", \"recover_round\": " << r.recover_round
-        << ", \"recover_margin\": " << r.recover_margin
-        << ", \"reclusters\": " << r.reclusters
-        << ", \"final_clusters\": " << r.final_clusters
-        << ", \"weights_fp_chain\": " << r.weights_fp_chain
-        << ", \"acc_series\": [";
-    for (std::size_t j = 0; j < r.acc_series.size(); ++j) {
-      out << (j ? ", " : "") << r.acc_series[j];
-    }
-    out << "]}" << (i + 1 < results.size() ? "," : "") << "\n";
+  out << "[\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    out << "  " << rows[i].to_string() << (i + 1 < rows.size() ? "," : "")
+        << "\n";
   }
   out << "]\n";
 }

@@ -3,6 +3,7 @@
 // paper's Non-IID Dir(0.1) protocol, and constructs the algorithm zoo.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -59,44 +60,7 @@ struct MeanStd {
 };
 MeanStd mean_std(const std::vector<double>& values);
 
-// -- kernel micro-bench reporting --------------------------------------------
-
-/// One timed kernel configuration, as emitted into BENCH_kernels.json so
-/// later PRs can track the perf trajectory.
-struct KernelBenchResult {
-  std::string op;       ///< e.g. "conv2d_forward", "matmul"
-  std::string variant;  ///< "naive"/"blocked" or "direct"/"im2col"
-  std::string shape;    ///< human-readable shape tag
-  double ms = 0.0;      ///< best-of-reps wall time per call
-  double gflops = 0.0;  ///< sustained throughput (0 if flop count n/a)
-  double speedup = 1.0; ///< vs the baseline variant of the same (op, shape)
-};
-
-/// Writes results as a machine-readable JSON array.
-void write_kernel_bench_json(const std::string& path,
-                             const std::vector<KernelBenchResult>& results);
-
-// -- robustness reporting -----------------------------------------------------
-
-/// One (algorithm, attack scenario, aggregation rule) cell of the
-/// Byzantine-robustness experiment, as emitted into BENCH_robustness.json.
-struct RobustnessBenchResult {
-  std::string algorithm;  ///< e.g. "FedAvg", "FedClust"
-  std::string scenario;   ///< "clean" or "attacked"
-  std::string rule;       ///< aggregation rule name
-  double acc_mean = 0.0;  ///< final mean per-client accuracy
-  double acc_std = 0.0;
-  /// Final accuracy as a fraction of the same algorithm's fault-free
-  /// accuracy (1.0 for the clean runs themselves).
-  double clean_retention = 1.0;
-};
-
-/// Writes robustness results as a machine-readable JSON array.
-void write_robustness_bench_json(
-    const std::string& path,
-    const std::vector<RobustnessBenchResult>& results);
-
-// -- fleet-scale reporting ----------------------------------------------------
+// -- resident-set helpers -----------------------------------------------------
 
 /// Current resident set size in MiB (Linux /proc/self/status VmRSS);
 /// 0 when the file is unavailable.
@@ -108,138 +72,33 @@ double peak_rss_mb();
 /// `limit_mb`. A limit of 0 (or a host without /proc) disables the check.
 void require_max_rss(double limit_mb);
 
-/// One stage of the fleet_scale sweep, as emitted into BENCH_fleet.json.
-struct FleetBenchResult {
-  std::size_t clients = 0;        ///< fleet size
-  std::size_t cohort = 0;         ///< sampled clients per round
-  std::size_t rounds = 0;
-  std::size_t edges = 0;          ///< edge aggregators in the tree
-  double round_ms_mean = 0.0;     ///< mean round wall-clock
-  double round_ms_p50 = 0.0;      ///< round wall-clock percentiles
-  double round_ms_p99 = 0.0;      ///< (StreamingHistogram estimates,
-  double round_ms_p999 = 0.0;     ///<  ±2% relative)
-  double acc_mean_last = 0.0;     ///< cohort accuracy after the last round
-  double vm_rss_mb = 0.0;         ///< resident set after the stage
-  double vm_hwm_mb = 0.0;         ///< process peak RSS at stage end
-  double rss_limit_mb = 0.0;      ///< --max-rss-mb self-check (0 = off)
-  std::uint64_t upload_bytes = 0;
-  std::uint64_t download_bytes = 0;
-  /// Root-link float32 traffic per round: edges × model (tree) vs
-  /// cohort × model (flat) — the fan-in reduction the tree buys.
-  std::uint64_t server_link_floats = 0;
-  std::uint64_t flat_link_floats = 0;
-  std::uint64_t weights_fp_chain = 0;  ///< FNV-1a chain of round fingerprints
-  std::size_t resident_shards = 0;     ///< client shards cached at stage end
+// -- JSON reporting -----------------------------------------------------------
+
+/// One JSON object of a BENCH_*.json file, modelled on
+/// TextTable::new_row().add(...): each add() appends one field, and fields
+/// keep their insertion order. Strings are quoted verbatim (callers pass
+/// JSON-safe text); doubles print std::fixed with 4 decimals.
+class JsonRow {
+ public:
+  JsonRow& add(const std::string& key, const std::string& value);
+  /// Keeps a string literal from converting to the bool overload.
+  JsonRow& add(const std::string& key, const char* value);
+  JsonRow& add(const std::string& key, std::uint64_t value);
+  JsonRow& add(const std::string& key, double value);
+  JsonRow& add(const std::string& key, bool value);
+  JsonRow& add(const std::string& key, const std::vector<double>& values);
+
+  /// The fields as `{"k": v, ...}`.
+  std::string to_string() const { return "{" + fields_ + "}"; }
+
+ private:
+  JsonRow& add_raw(const std::string& key, const std::string& value);
+
+  std::string fields_;
 };
 
-/// Writes fleet-scale results as a machine-readable JSON array.
-void write_fleet_bench_json(const std::string& path,
-                            const std::vector<FleetBenchResult>& results);
-
-// -- compression reporting ----------------------------------------------------
-
-/// One (algorithm, upload codec) cell of the bytes-vs-accuracy sweep, as
-/// emitted into BENCH_compress.json by `comm_cost --codec`.
-struct CompressBenchResult {
-  std::string algorithm;  ///< e.g. "FedAvg", "IFCA", "FedClust"
-  std::string codec;      ///< upload codec name ("identity", "int8", ...)
-  std::size_t rounds = 0;
-  std::uint64_t upload_bytes = 0;    ///< whole-run encoded upload traffic
-  std::uint64_t download_bytes = 0;  ///< whole-run download traffic
-  /// identity-codec upload bytes / this codec's upload bytes (>= 1 means
-  /// the codec saved traffic; identity itself is exactly 1).
-  double upload_reduction = 1.0;
-  double acc_mean = 0.0;  ///< final mean per-client accuracy
-  double acc_std = 0.0;
-  /// Accuracy points relative to the same algorithm's identity run
-  /// (negative = the codec cost accuracy).
-  double acc_delta_pts = 0.0;
-  /// On the per-algorithm Pareto front: no other codec for this
-  /// algorithm uploads fewer (or equal) bytes AND reaches at least this
-  /// accuracy, with one of the two strict.
-  bool pareto = false;
-};
-
-/// Writes compression results as a machine-readable JSON array.
-void write_compress_bench_json(const std::string& path,
-                               const std::vector<CompressBenchResult>& results);
-
-// -- async time-to-accuracy reporting -----------------------------------------
-
-/// One (algorithm, engine mode, network profile) cell of the async
-/// throughput sweep, as emitted into BENCH_async.json.
-struct AsyncBenchResult {
-  std::string algorithm;  ///< "FedAvg" | "FedClust"
-  std::string mode;       ///< "sync" | "async_k4" | "async_k16" | ...
-  std::string profile;    ///< "lan" | "cellular" | "heterogeneous"
-  std::size_t buffer_k = 0;  ///< 0 for the sync baseline
-  std::size_t rounds = 0;    ///< sync rounds or async flushes executed
-  double target_acc = 0.0;
-  bool reached = false;             ///< the run hit target_acc
-  double seconds_to_target = 0.0;   ///< sim_seconds at the first hit
-  double seconds_total = 0.0;       ///< sim_seconds at run end
-  double final_acc = 0.0;
-  double upload_mb = 0.0;
-  double download_mb = 0.0;
-  /// sync seconds_to_target / this mode's, within (algorithm, profile);
-  /// 1.0 for the sync baseline itself, 0 when either side missed target.
-  double speedup_vs_sync = 0.0;
-};
-
-/// Writes async results as a machine-readable JSON array.
-void write_async_bench_json(const std::string& path,
-                            const std::vector<AsyncBenchResult>& results);
-
-// -- drift-recovery reporting -------------------------------------------------
-
-/// One arm (static or dynamic FedClust) of the drift-recovery
-/// experiment, as emitted into BENCH_drift.json by bench/drift_recovery.
-struct DriftBenchResult {
-  std::string mode;  ///< "static" | "dynamic"
-  std::size_t rounds = 0;
-  std::size_t drift_round = 0;   ///< round the scheduled drift hits
-  double pre_drift_acc = 0.0;    ///< mean accuracy just before the drift
-  double trough_acc = 0.0;       ///< worst mean accuracy at/after the drift
-  double final_acc = 0.0;
-  std::size_t detect_round = 0;  ///< first round with a drift alarm (0 = never)
-  std::size_t recover_round = 0; ///< first post-drift round back within
-                                 ///< `recover_margin` of pre-drift (0 = never)
-  double recover_margin = 0.0;   ///< accuracy-points recovery band
-  std::size_t reclusters = 0;    ///< split/merge recoveries applied
-  std::size_t final_clusters = 0;
-  /// FNV-1a chain over the per-round weights fingerprints — equal chains
-  /// mean bit-identical trajectories (the determinism self-check re-runs
-  /// the dynamic arm under a different kernel-thread count).
-  std::uint64_t weights_fp_chain = 0;
-  /// Per-round mean accuracy series (the recovery curve).
-  std::vector<double> acc_series;
-};
-
-/// Writes drift-recovery results as a machine-readable JSON array.
-void write_drift_bench_json(const std::string& path,
-                            const std::vector<DriftBenchResult>& results);
-
-// -- serving reporting --------------------------------------------------------
-
-/// One (router mode, batch size) cell of the serving-throughput sweep,
-/// as emitted into BENCH_serving.json.
-struct ServingBenchResult {
-  std::string model;           ///< served architecture ("lenet5", ...)
-  std::string mode;            ///< "hard" | "soft" | "ensemble"
-  std::size_t max_batch = 0;   ///< batcher cap for this cell
-  std::size_t workers = 0;     ///< engine worker threads
-  std::size_t requests = 0;    ///< requests served
-  std::size_t clusters = 0;    ///< heads in the frozen snapshot
-  double rps = 0.0;            ///< requests per second (wall clock)
-  double p50_ms = 0.0;         ///< request latency percentiles
-  double p99_ms = 0.0;         ///< (submit -> fulfilled)
-  double p999_ms = 0.0;
-  double mean_batch_rows = 0.0;  ///< realized rows per forward batch
-  double accuracy = 0.0;         ///< top-1 on the served test slice
-};
-
-/// Writes serving results as a machine-readable JSON array.
-void write_serving_bench_json(const std::string& path,
-                              const std::vector<ServingBenchResult>& results);
+/// Writes `rows` as a JSON array, one object per line; throws
+/// fedclust::Error when `path` cannot be opened.
+void write_json_rows(const std::string& path, const std::vector<JsonRow>& rows);
 
 }  // namespace fedclust::bench

@@ -66,6 +66,28 @@ std::vector<compress::CodecKind> parse_codecs(const std::string& arg) {
   return codecs;
 }
 
+/// One (algorithm, upload codec) cell of the --codec sweep; kept as a
+/// struct because the Pareto marks are computed across an algorithm's
+/// cells before they are written.
+struct CodecCell {
+  std::string algorithm;
+  std::string codec;
+  std::uint64_t upload_bytes = 0;    ///< whole-run encoded upload traffic
+  std::uint64_t download_bytes = 0;  ///< whole-run download traffic
+  /// identity-codec upload bytes / this codec's upload bytes (>= 1 means
+  /// the codec saved traffic; identity itself is exactly 1).
+  double upload_reduction = 1.0;
+  double acc_mean = 0.0;  ///< final mean per-client accuracy
+  double acc_std = 0.0;
+  /// Accuracy points relative to the same algorithm's identity run
+  /// (negative = the codec cost accuracy).
+  double acc_delta_pts = 0.0;
+  /// On the per-algorithm Pareto front: no other codec for this
+  /// algorithm uploads fewer (or equal) bytes AND reaches at least this
+  /// accuracy, with one of the two strict.
+  bool pareto = false;
+};
+
 std::string human_bytes(double b) {
   char buf[32];
   if (b >= 1e9) {
@@ -147,9 +169,9 @@ int main(int argc, char** argv) {
 
     TextTable table({"Method", "Codec", "Upload", "Download", "Upload redux",
                      "Final acc (%)", "dAcc (pts)", "Pareto"});
-    std::vector<bench::CompressBenchResult> results;
+    std::vector<bench::JsonRow> results;
     for (auto& algo : algos) {
-      std::vector<bench::CompressBenchResult> rows;
+      std::vector<CodecCell> rows;
       std::uint64_t identity_up = 0;
       double identity_acc = 0.0;
       for (compress::CodecKind kind : codecs) {
@@ -161,10 +183,9 @@ int main(int argc, char** argv) {
         fl::Federation fed = bench::make_federation(sp);
         const fl::RunResult r = algo->run(fed, rounds);
 
-        bench::CompressBenchResult row;
+        CodecCell row;
         row.algorithm = algo->name();
         row.codec = compress::to_string(kind);
-        row.rounds = rounds;
         row.upload_bytes = fed.comm().total_upload();
         row.download_bytes = fed.comm().total_download();
         row.acc_mean = r.final_accuracy.mean;
@@ -198,7 +219,7 @@ int main(int argc, char** argv) {
         }
         rows[i].pareto = !dominated;
       }
-      for (const bench::CompressBenchResult& row : rows) {
+      for (const CodecCell& row : rows) {
         table.new_row()
             .add(row.algorithm)
             .add(row.codec)
@@ -208,7 +229,17 @@ int main(int argc, char** argv) {
             .add(100.0 * row.acc_mean, 2)
             .add(row.acc_delta_pts, 2)
             .add(row.pareto ? "yes" : "");
-        results.push_back(row);
+        results.push_back(bench::JsonRow()
+                              .add("algorithm", row.algorithm)
+                              .add("codec", row.codec)
+                              .add("rounds", rounds)
+                              .add("upload_bytes", row.upload_bytes)
+                              .add("download_bytes", row.download_bytes)
+                              .add("upload_reduction", row.upload_reduction)
+                              .add("acc_mean", row.acc_mean)
+                              .add("acc_std", row.acc_std)
+                              .add("acc_delta_pts", row.acc_delta_pts)
+                              .add("pareto", row.pareto));
       }
     }
 
@@ -219,7 +250,7 @@ int main(int argc, char** argv) {
     std::printf("%s\n", table.to_string().c_str());
 
     const std::string out_path = cli.get_string("out");
-    bench::write_compress_bench_json(out_path, results);
+    bench::write_json_rows(out_path, results);
     std::printf("wrote %zu cells to %s\n", results.size(), out_path.c_str());
     return 0;
   }

@@ -45,6 +45,26 @@ struct Options {
 constexpr std::size_t kClients = 12;
 constexpr double kRecoverMargin = 0.02;  // the 2-point acceptance band
 
+/// One arm (static or dynamic FedClust); kept as a struct because the
+/// gates and the determinism replay compare arms.
+struct ArmResult {
+  std::string mode;  ///< "static" | "dynamic"
+  std::size_t rounds = 0;
+  double pre_drift_acc = 0.0;    ///< mean accuracy just before the drift
+  double trough_acc = 0.0;       ///< worst mean accuracy at/after the drift
+  double final_acc = 0.0;
+  std::size_t detect_round = 0;  ///< first round with a drift alarm (0 = never)
+  std::size_t recover_round = 0; ///< first post-drift round back within
+                                 ///< kRecoverMargin of pre-drift (0 = never)
+  std::size_t reclusters = 0;    ///< split/merge recoveries applied
+  std::size_t final_clusters = 0;
+  /// FNV-1a chain over the per-round weights fingerprints — equal chains
+  /// mean bit-identical trajectories.
+  std::uint64_t weights_fp_chain = 0;
+  /// Per-round mean accuracy series (the recovery curve).
+  std::vector<double> acc_series;
+};
+
 Options parse(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
@@ -129,14 +149,11 @@ core::FedClustConfig algo_config(bool dynamic) {
   return cfg;
 }
 
-bench::DriftBenchResult summarize(const std::string& mode,
-                                  std::size_t drift_round,
-                                  const fl::RunResult& result) {
-  bench::DriftBenchResult r;
+ArmResult summarize(const std::string& mode, std::size_t drift_round,
+                    const fl::RunResult& result) {
+  ArmResult r;
   r.mode = mode;
   r.rounds = result.rounds.empty() ? 0 : result.rounds.back().round + 1;
-  r.drift_round = drift_round;
-  r.recover_margin = kRecoverMargin;
   r.final_acc = result.final_accuracy.mean;
   r.final_clusters =
       result.rounds.empty() ? 0 : result.rounds.back().num_clusters;
@@ -175,7 +192,7 @@ int main(int argc, char** argv) {
               kClients, drift_round, rounds,
               opt.faults ? " (+fault chaos)" : "");
 
-  std::vector<bench::DriftBenchResult> results;
+  std::vector<ArmResult> results;
   for (const bool dynamic : {false, true}) {
     fl::Federation fed = build_federation(opt, drift_round,
                                           /*kernel_threads=*/0, nullptr);
@@ -184,12 +201,12 @@ int main(int argc, char** argv) {
     results.push_back(
         summarize(dynamic ? "dynamic" : "static", drift_round, res));
   }
-  const bench::DriftBenchResult& statik = results[0];
-  const bench::DriftBenchResult& dynamic = results[1];
+  const ArmResult& statik = results[0];
+  const ArmResult& dynamic = results[1];
 
   std::printf("%-8s %9s %8s %7s %7s %7s %7s %5s\n", "mode", "pre-drift",
               "trough", "final", "detect", "recov", "reclus", "k");
-  for (const bench::DriftBenchResult& r : results) {
+  for (const ArmResult& r : results) {
     char detect[24] = "-", recover[24] = "-";
     if (r.detect_round) {
       std::snprintf(detect, sizeof(detect), "r%zu", r.detect_round);
@@ -211,8 +228,7 @@ int main(int argc, char** argv) {
                                           /*kernel_threads=*/2, nullptr);
     core::FedClust algo(algo_config(true));
     const fl::RunResult res = algo.run(fed, rounds);
-    const bench::DriftBenchResult replay =
-        summarize("dynamic", drift_round, res);
+    const ArmResult replay = summarize("dynamic", drift_round, res);
     if (replay.weights_fp_chain != dynamic.weights_fp_chain) {
       std::printf("FAIL: dynamic arm diverges across kernel-thread counts "
                   "(%016llx vs %016llx)\n",
@@ -225,7 +241,24 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(dynamic.weights_fp_chain));
   }
 
-  bench::write_drift_bench_json(opt.out, results);
+  std::vector<bench::JsonRow> rows;
+  for (const ArmResult& r : results) {
+    rows.push_back(bench::JsonRow()
+                       .add("mode", r.mode)
+                       .add("rounds", r.rounds)
+                       .add("drift_round", drift_round)
+                       .add("pre_drift_acc", r.pre_drift_acc)
+                       .add("trough_acc", r.trough_acc)
+                       .add("final_acc", r.final_acc)
+                       .add("detect_round", r.detect_round)
+                       .add("recover_round", r.recover_round)
+                       .add("recover_margin", kRecoverMargin)
+                       .add("reclusters", r.reclusters)
+                       .add("final_clusters", r.final_clusters)
+                       .add("weights_fp_chain", r.weights_fp_chain)
+                       .add("acc_series", r.acc_series));
+  }
+  bench::write_json_rows(opt.out, rows);
   std::printf("wrote %s\n", opt.out.c_str());
 
   // Gates. Detection must fire in every mode; under fault chaos the

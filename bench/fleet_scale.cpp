@@ -32,13 +32,14 @@ using namespace fedclust;
 
 namespace {
 
-bench::FleetBenchResult run_stage(std::size_t fleet_size, std::size_t rounds,
-                                  double participation, std::size_t edges,
-                                  std::size_t samples_per_client,
-                                  std::size_t hidden, std::size_t eval_clients,
-                                  std::size_t threads, double max_rss_mb,
-                                  std::uint64_t seed,
-                                  data::SyntheticKind dataset) {
+/// Runs one fleet size, adds its summary line to `table` and returns its
+/// BENCH_fleet.json record.
+bench::JsonRow run_stage(std::size_t fleet_size, std::size_t rounds,
+                         double participation, std::size_t edges,
+                         std::size_t samples_per_client, std::size_t hidden,
+                         std::size_t eval_clients, std::size_t threads,
+                         double max_rss_mb, std::uint64_t seed,
+                         data::SyntheticKind dataset, TextTable& table) {
   fl::VirtualFleetSpec spec;
   spec.dataset = dataset;
   spec.num_clients = fleet_size;
@@ -107,28 +108,50 @@ bench::FleetBenchResult run_stage(std::size_t fleet_size, std::size_t rounds,
                 bench::current_rss_mb());
   }
 
-  bench::FleetBenchResult out;
-  out.clients = fleet_size;
-  out.cohort = last_cohort;
-  out.rounds = rounds;
-  out.edges = edges;
-  out.round_ms_mean = stats.round_wall_ms.mean();
-  out.round_ms_p50 = round_hist.p50();
-  out.round_ms_p99 = round_hist.p99();
-  out.round_ms_p999 = round_hist.p999();
-  out.acc_mean_last = stats.acc_mean.count() > 0
-                          ? stats.acc_mean.mean()
-                          : 0.0;
-  out.vm_rss_mb = bench::current_rss_mb();
-  out.vm_hwm_mb = bench::peak_rss_mb();
-  out.rss_limit_mb = max_rss_mb;
-  out.upload_bytes = fed.comm().total_upload();
-  out.download_bytes = fed.comm().total_download();
-  out.server_link_floats = server_link;
-  out.flat_link_floats = flat_link;
-  out.weights_fp_chain = stats.weights_fp_chain;
-  out.resident_shards = fed.source().resident();
-  return out;
+  const double round_ms_mean = stats.round_wall_ms.mean();
+  const double acc_mean_last =
+      stats.acc_mean.count() > 0 ? stats.acc_mean.mean() : 0.0;
+  const double vm_rss_mb = bench::current_rss_mb();
+  const double vm_hwm_mb = bench::peak_rss_mb();
+
+  // Root-link float32 traffic per round: edges × model (tree) vs
+  // cohort × model (flat) — the fan-in reduction the tree buys.
+  const double per_round = rounds > 0 ? static_cast<double>(rounds) : 1.0;
+  char link[64];
+  std::snprintf(link, sizeof(link), "%.2e vs %.2e",
+                static_cast<double>(server_link) / per_round,
+                static_cast<double>(flat_link) / per_round);
+  table.new_row()
+      .add(static_cast<long long>(fleet_size))
+      .add(static_cast<long long>(last_cohort))
+      .add(round_ms_mean, 1)
+      .add(round_hist.p99(), 1)
+      .add(acc_mean_last, 4)
+      .add(vm_rss_mb, 0)
+      .add(vm_hwm_mb, 0)
+      .add(std::string(link));
+
+  // Round percentiles are StreamingHistogram estimates (±2% relative);
+  // weights_fp_chain is the FNV-1a chain of round fingerprints.
+  return bench::JsonRow()
+      .add("clients", fleet_size)
+      .add("cohort", last_cohort)
+      .add("rounds", rounds)
+      .add("edges", edges)
+      .add("round_ms_mean", round_ms_mean)
+      .add("round_ms_p50", round_hist.p50())
+      .add("round_ms_p99", round_hist.p99())
+      .add("round_ms_p999", round_hist.p999())
+      .add("acc_mean_last", acc_mean_last)
+      .add("vm_rss_mb", vm_rss_mb)
+      .add("vm_hwm_mb", vm_hwm_mb)
+      .add("rss_limit_mb", max_rss_mb)
+      .add("upload_bytes", fed.comm().total_upload())
+      .add("download_bytes", fed.comm().total_download())
+      .add("server_link_floats", server_link)
+      .add("flat_link_floats", flat_link)
+      .add("weights_fp_chain", stats.weights_fp_chain)
+      .add("resident_shards", fed.source().resident());
 }
 
 }  // namespace
@@ -159,7 +182,9 @@ int main(int argc, char** argv) {
     fleets = {1000, 10000, 100000, 1000000};
   }
 
-  std::vector<bench::FleetBenchResult> results;
+  TextTable table({"clients", "cohort", "round ms", "p99 ms", "acc",
+                   "rss MiB", "hwm MiB", "link floats/rd (tree vs flat)"});
+  std::vector<bench::JsonRow> results;
   for (const std::size_t n : fleets) {
     std::printf("fleet %zu clients (%.1f%% participation)\n", n,
                 100.0 * cli.get_double("participation"));
@@ -173,31 +198,11 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(cli.get_int("threads")),
         cli.get_double("max-rss-mb"),
         static_cast<std::uint64_t>(cli.get_int("seed")),
-        data::synthetic_kind_from_string(cli.get_string("dataset"))));
-  }
-
-  TextTable table({"clients", "cohort", "round ms", "p99 ms", "acc",
-                   "rss MiB", "hwm MiB", "link floats/rd (tree vs flat)"});
-  for (const bench::FleetBenchResult& r : results) {
-    const double per_round =
-        r.rounds > 0 ? static_cast<double>(r.rounds) : 1.0;
-    char link[64];
-    std::snprintf(link, sizeof(link), "%.2e vs %.2e",
-                  static_cast<double>(r.server_link_floats) / per_round,
-                  static_cast<double>(r.flat_link_floats) / per_round);
-    table.new_row()
-        .add(static_cast<long long>(r.clients))
-        .add(static_cast<long long>(r.cohort))
-        .add(r.round_ms_mean, 1)
-        .add(r.round_ms_p99, 1)
-        .add(r.acc_mean_last, 4)
-        .add(r.vm_rss_mb, 0)
-        .add(r.vm_hwm_mb, 0)
-        .add(std::string(link));
+        data::synthetic_kind_from_string(cli.get_string("dataset")), table));
   }
   std::printf("%s", table.to_string().c_str());
 
-  bench::write_fleet_bench_json(cli.get_string("out"), results);
+  bench::write_json_rows(cli.get_string("out"), results);
   std::printf("wrote %s\n", cli.get_string("out").c_str());
   return 0;
 }

@@ -4,9 +4,9 @@
 // pairwise proximity-matrix build. Where the build carries a SIMD kernel
 // table, each op gains a "simd" variant row timed against the scalar
 // table inside the same binary (ops::set_simd_enabled). Prints a summary
-// table and writes a machine-readable BENCH_kernels.json (record format
-// in bench_common.hpp) so later changes can be compared against these
-// numbers. Usage: micro_kernels [output.json]
+// table and writes a machine-readable BENCH_kernels.json (one record per
+// row: op, variant, shape, ms, gflops, speedup) so later changes can be
+// compared against these numbers. Usage: micro_kernels [output.json]
 #include <algorithm>
 #include <cstdio>
 #include <functional>
@@ -23,7 +23,7 @@
 namespace {
 
 using namespace fedclust;
-using bench::KernelBenchResult;
+using bench::JsonRow;
 
 Tensor random_tensor(Shape shape, std::uint64_t seed) {
   Rng rng(seed);
@@ -48,17 +48,24 @@ double time_ms(const std::function<void()>& fn) {
   return best;
 }
 
-KernelBenchResult make_result(std::string op, std::string variant,
-                              std::string shape, double ms, double flops,
-                              double baseline_ms) {
-  KernelBenchResult r;
-  r.op = std::move(op);
-  r.variant = std::move(variant);
-  r.shape = std::move(shape);
-  r.ms = ms;
-  r.gflops = flops > 0.0 ? flops / (ms * 1e6) : 0.0;
-  r.speedup = baseline_ms > 0.0 ? baseline_ms / ms : 1.0;
-  return r;
+/// Prints one summary line and appends its JSON record. `ms` is the
+/// best-of-reps wall time per call; GFLOP/s is 0 when the flop count is
+/// n/a, and the speedup is against the baseline variant of the same
+/// (op, shape).
+void add_result(std::vector<JsonRow>& out, const std::string& op,
+                const std::string& variant, const std::string& shape,
+                double ms, double flops, double baseline_ms) {
+  const double gflops = flops > 0.0 ? flops / (ms * 1e6) : 0.0;
+  const double speedup = baseline_ms > 0.0 ? baseline_ms / ms : 1.0;
+  std::printf("%-18s %-8s %-22s %10.4f %9.2f %7.2fx\n", op.c_str(),
+              variant.c_str(), shape.c_str(), ms, gflops, speedup);
+  out.push_back(JsonRow()
+                    .add("op", op)
+                    .add("variant", variant)
+                    .add("shape", shape)
+                    .add("ms", ms)
+                    .add("gflops", gflops)
+                    .add("speedup", speedup));
 }
 
 /// True when this binary carries a SIMD kernel table the host can run.
@@ -67,7 +74,7 @@ bool simd_available() {
   return ops::simd_active();
 }
 
-void bench_matmul(std::vector<KernelBenchResult>& out) {
+void bench_matmul(std::vector<JsonRow>& out) {
   struct Case {
     std::size_t m, k, n;
     const char* tag;
@@ -90,17 +97,16 @@ void bench_matmul(std::vector<KernelBenchResult>& out) {
     ops::set_simd_enabled(false);
     const double naive = time_ms([&] { ops::matmul_naive(a, b, cn); });
     const double blocked = time_ms([&] { ops::matmul(a, b, cb); });
-    out.push_back(make_result("matmul", "naive", c.tag, naive, flops, naive));
-    out.push_back(
-        make_result("matmul", "blocked", c.tag, blocked, flops, naive));
+    add_result(out, "matmul", "naive", c.tag, naive, flops, naive);
+    add_result(out, "matmul", "blocked", c.tag, blocked, flops, naive);
     if (simd_available()) {
       const double simd = time_ms([&] { ops::matmul(a, b, cb); });
-      out.push_back(make_result("matmul", "simd", c.tag, simd, flops, naive));
+      add_result(out, "matmul", "simd", c.tag, simd, flops, naive);
     }
   }
 }
 
-void bench_aggregate(std::vector<KernelBenchResult>& out) {
+void bench_aggregate(std::vector<JsonRow>& out) {
   // FedAvg server reduction: 16 client updates of 100k weights through
   // the weighted-mean kernel both tables implement — one call into a
   // zeroed double accumulator, then the float cast (weighted_average's
@@ -129,16 +135,14 @@ void bench_aggregate(std::vector<KernelBenchResult>& out) {
     });
   };
   const double scalar = run(ops::scalar_kernels());
-  out.push_back(
-      make_result("weighted_avg", "scalar", tag, scalar, flops, scalar));
+  add_result(out, "weighted_avg", "scalar", tag, scalar, flops, scalar);
   if (simd_available()) {
     const double simd = run(*ops::simd_kernels());
-    out.push_back(
-        make_result("weighted_avg", "simd", tag, simd, flops, scalar));
+    add_result(out, "weighted_avg", "simd", tag, simd, flops, scalar);
   }
 }
 
-void bench_pairwise(std::vector<KernelBenchResult>& out) {
+void bench_pairwise(std::vector<JsonRow>& out) {
   // Proximity matrix between 64 clients' 16k-float layer vectors.
   const std::size_t num = 64, dim = 16'384;
   std::vector<std::vector<float>> vectors(num);
@@ -155,13 +159,11 @@ void bench_pairwise(std::vector<KernelBenchResult>& out) {
   ops::set_simd_enabled(false);
   const double scalar =
       time_ms([&] { cluster::pairwise_euclidean(vectors); });
-  out.push_back(
-      make_result("pairwise_l2", "scalar", tag, scalar, flops, scalar));
+  add_result(out, "pairwise_l2", "scalar", tag, scalar, flops, scalar);
   if (simd_available()) {
     const double simd =
         time_ms([&] { cluster::pairwise_euclidean(vectors); });
-    out.push_back(
-        make_result("pairwise_l2", "simd", tag, simd, flops, scalar));
+    add_result(out, "pairwise_l2", "simd", tag, simd, flops, scalar);
   }
 }
 
@@ -171,7 +173,7 @@ struct ConvCase {
   const char* tag;
 };
 
-void bench_conv(const ConvCase& c, std::vector<KernelBenchResult>& out) {
+void bench_conv(const ConvCase& c, std::vector<JsonRow>& out) {
   const std::size_t ho = c.spec.out_size(c.h), wo = c.spec.out_size(c.w);
   const Tensor input =
       random_tensor({c.batch, c.spec.in_channels, c.h, c.w}, 3);
@@ -217,20 +219,18 @@ void bench_conv(const ConvCase& c, std::vector<KernelBenchResult>& out) {
                                       pix, grad_cols);
   });
 
-  out.push_back(make_result("conv2d_forward", "direct", c.tag, fwd_direct,
-                            flops, fwd_direct));
-  out.push_back(make_result("conv2d_forward", "im2col", c.tag, fwd_im2col,
-                            flops, fwd_direct));
-  out.push_back(make_result("conv2d_backward", "direct", c.tag, bwd_direct,
-                            2.0 * flops, bwd_direct));
-  out.push_back(make_result("conv2d_backward", "im2col", c.tag, bwd_im2col,
-                            2.0 * flops, bwd_direct));
-  out.push_back(make_result("conv2d_fwd_bwd", "direct", c.tag,
-                            fwd_direct + bwd_direct, 3.0 * flops,
-                            fwd_direct + bwd_direct));
-  out.push_back(make_result("conv2d_fwd_bwd", "im2col", c.tag,
-                            fwd_im2col + bwd_im2col, 3.0 * flops,
-                            fwd_direct + bwd_direct));
+  add_result(out, "conv2d_forward", "direct", c.tag, fwd_direct, flops,
+             fwd_direct);
+  add_result(out, "conv2d_forward", "im2col", c.tag, fwd_im2col, flops,
+             fwd_direct);
+  add_result(out, "conv2d_backward", "direct", c.tag, bwd_direct,
+             2.0 * flops, bwd_direct);
+  add_result(out, "conv2d_backward", "im2col", c.tag, bwd_im2col,
+             2.0 * flops, bwd_direct);
+  add_result(out, "conv2d_fwd_bwd", "direct", c.tag, fwd_direct + bwd_direct,
+             3.0 * flops, fwd_direct + bwd_direct);
+  add_result(out, "conv2d_fwd_bwd", "im2col", c.tag, fwd_im2col + bwd_im2col,
+             3.0 * flops, fwd_direct + bwd_direct);
 
   if (simd_available()) {
     const double fwd_simd = time_ms([&] {
@@ -243,22 +243,12 @@ void bench_conv(const ConvCase& c, std::vector<KernelBenchResult>& out) {
       ops::conv2d_backward_input_im2col(grad_out, weight, c.spec, grad_input,
                                         pix, grad_cols);
     });
-    out.push_back(make_result("conv2d_forward", "simd", c.tag, fwd_simd,
-                              flops, fwd_direct));
-    out.push_back(make_result("conv2d_backward", "simd", c.tag, bwd_simd,
-                              2.0 * flops, bwd_direct));
-    out.push_back(make_result("conv2d_fwd_bwd", "simd", c.tag,
-                              fwd_simd + bwd_simd, 3.0 * flops,
-                              fwd_direct + bwd_direct));
-  }
-}
-
-void print_results(const std::vector<KernelBenchResult>& results) {
-  std::printf("%-18s %-8s %-22s %10s %9s %8s\n", "op", "variant", "shape",
-              "ms", "GFLOP/s", "speedup");
-  for (const KernelBenchResult& r : results) {
-    std::printf("%-18s %-8s %-22s %10.4f %9.2f %7.2fx\n", r.op.c_str(),
-                r.variant.c_str(), r.shape.c_str(), r.ms, r.gflops, r.speedup);
+    add_result(out, "conv2d_forward", "simd", c.tag, fwd_simd, flops,
+               fwd_direct);
+    add_result(out, "conv2d_backward", "simd", c.tag, bwd_simd, 2.0 * flops,
+               bwd_direct);
+    add_result(out, "conv2d_fwd_bwd", "simd", c.tag, fwd_simd + bwd_simd,
+               3.0 * flops, fwd_direct + bwd_direct);
   }
 }
 
@@ -270,7 +260,9 @@ int main(int argc, char** argv) {
   std::printf("kernel tables: scalar%s\n",
               simd_available() ? " + simd (active)" : " only");
 
-  std::vector<KernelBenchResult> results;
+  std::printf("%-18s %-8s %-22s %10s %9s %8s\n", "op", "variant", "shape",
+              "ms", "GFLOP/s", "speedup");
+  std::vector<JsonRow> results;
   bench_matmul(results);
   bench_aggregate(results);
   bench_pairwise(results);
@@ -284,8 +276,7 @@ int main(int argc, char** argv) {
   };
   for (const ConvCase& c : conv_cases) bench_conv(c, results);
 
-  print_results(results);
-  bench::write_kernel_bench_json(json_path, results);
+  bench::write_json_rows(json_path, results);
   std::printf("\nwrote %s (%zu records)\n", json_path.c_str(), results.size());
   return 0;
 }

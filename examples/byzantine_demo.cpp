@@ -93,7 +93,7 @@ int main() {
   std::printf("%-9s %-9s %-13s %12s %10s\n", "method", "scenario", "rule",
               "final acc %", "retention");
 
-  std::vector<bench::RobustnessBenchResult> results;
+  std::vector<bench::JsonRow> results;
   bool attacked_mean_degrades = true;
   bool trimmed_retains = true;
   for (const std::string algorithm : {"FedAvg", "FedClust"}) {
@@ -101,34 +101,41 @@ int main() {
     for (const Attack attack :
          {Attack::kNone, Attack::kWeightedMean, Attack::kTrimmedMean}) {
       const fl::RunResult r = run_one(algorithm, attack);
-      bench::RobustnessBenchResult row;
-      row.algorithm = algorithm;
-      row.scenario = attack == Attack::kNone ? "clean" : "attacked";
-      row.rule = robust::to_string(attack == Attack::kTrimmedMean
-                                       ? robust::AggregationRule::kTrimmedMean
-                                       : robust::AggregationRule::kWeightedMean);
-      row.acc_mean = r.final_accuracy.mean;
-      row.acc_std = r.final_accuracy.std;
+      const std::string scenario =
+          attack == Attack::kNone ? "clean" : "attacked";
+      const std::string rule =
+          robust::to_string(attack == Attack::kTrimmedMean
+                                ? robust::AggregationRule::kTrimmedMean
+                                : robust::AggregationRule::kWeightedMean);
+      const double acc = r.final_accuracy.mean;
+      // Final accuracy as a fraction of the same algorithm's fault-free
+      // accuracy (1.0 for the clean runs themselves).
+      double retention = 1.0;
       if (attack == Attack::kNone) {
-        clean_acc = row.acc_mean;
+        clean_acc = acc;
       } else if (clean_acc > 0.0) {
-        row.clean_retention = row.acc_mean / clean_acc;
+        retention = acc / clean_acc;
       }
       if (attack == Attack::kWeightedMean) {
-        attacked_mean_degrades =
-            attacked_mean_degrades && row.clean_retention < 0.9;
+        attacked_mean_degrades = attacked_mean_degrades && retention < 0.9;
       }
       if (attack == Attack::kTrimmedMean) {
-        trimmed_retains = trimmed_retains && row.clean_retention >= 0.9;
+        trimmed_retains = trimmed_retains && retention >= 0.9;
       }
       std::printf("%-9s %-9s %-13s %12.1f %9.0f%%\n", algorithm.c_str(),
-                  row.scenario.c_str(), row.rule.c_str(),
-                  100.0 * row.acc_mean, 100.0 * row.clean_retention);
-      results.push_back(std::move(row));
+                  scenario.c_str(), rule.c_str(), 100.0 * acc,
+                  100.0 * retention);
+      results.push_back(bench::JsonRow()
+                            .add("algorithm", algorithm)
+                            .add("scenario", scenario)
+                            .add("rule", rule)
+                            .add("acc_mean", acc)
+                            .add("acc_std", r.final_accuracy.std)
+                            .add("clean_retention", retention));
     }
   }
 
-  bench::write_robustness_bench_json("BENCH_robustness.json", results);
+  bench::write_json_rows("BENCH_robustness.json", results);
   std::printf(
       "\nPlain weighted averaging lets 20%% sign-flippers cancel honest "
       "progress;\nthe coordinate-wise trimmed mean (trim 0.25) drops the "

@@ -391,10 +391,8 @@ class BufferedScheduler {
     d.start = broadcast_[d.cluster];
     // Crash faults and dropout churn resolve at dispatch — same fate
     // model as a synchronous round with round := dispatch seq.
-    const bool crashed =
-        fed_.config().faults.enabled &&
-        fed_.fault_plan().decide(d.seq, client, 0) ==
-            robust::FaultKind::kCrash;
+    const bool crashed = fed_.fault_plan().decide(d.seq, client, 0) ==
+                         robust::FaultKind::kCrash;
     const bool churned = crashed || fed_.client_fails(client, d.seq);
     const net::ClientOp op = fed_.client_op(
         client,

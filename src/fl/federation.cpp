@@ -362,9 +362,7 @@ std::vector<std::size_t> Federation::round_survivors(
   // rounds (a crashed client cannot answer a formation solicitation);
   // dropout churn remains gated on allow_failures as before.
   const auto fate = [&](std::size_t cid) {
-    return config_.faults.enabled
-               ? fault_plan_.decide(round, cid, fault_attempt)
-               : robust::FaultKind::kNone;
+    return fault_plan_.decide(round, cid, fault_attempt);
   };
 
   // Decide churn up front so dropped clients cost no training time.
@@ -475,8 +473,7 @@ ClientUpdate Federation::train_one(const TrainJob& job,
   const std::size_t cid = job.client;
   FEDCLUST_REQUIRE(cid < source_->num_clients(), "client id out of range");
   const robust::FaultKind kind =
-      config_.faults.enabled ? fault_plan_.decide(job.round, cid, fault_attempt)
-                             : robust::FaultKind::kNone;
+      fault_plan_.decide(job.round, cid, fault_attempt);
   // A stale replay trains from the run's initial weights — the client
   // never saw (or ignored) the current broadcast.
   const std::span<const float> start =

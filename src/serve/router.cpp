@@ -21,14 +21,6 @@ const char* route_mode_name(RouteMode mode) {
   FEDCLUST_FAIL("unreachable route mode");
 }
 
-RouteMode parse_route_mode(const std::string& name) {
-  if (name == "hard") return RouteMode::kHard;
-  if (name == "soft") return RouteMode::kSoft;
-  if (name == "ensemble") return RouteMode::kEnsemble;
-  FEDCLUST_FAIL("unknown route mode '" << name
-                                        << "' (hard | soft | ensemble)");
-}
-
 std::vector<double> gaussian_weights(const std::vector<double>& distances,
                                      double sigma) {
   FEDCLUST_REQUIRE(!distances.empty(), "no clusters to weight");

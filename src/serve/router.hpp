@@ -24,7 +24,6 @@
 
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "serve/registry.hpp"
@@ -37,10 +36,8 @@ enum class RouteMode {
   kEnsemble,
 };
 
-/// "hard" / "soft" / "ensemble" — for CLI flags and bench JSON.
+/// "hard" / "soft" / "ensemble" — for logs and test traces.
 const char* route_mode_name(RouteMode mode);
-/// Inverse of route_mode_name; throws fedclust::Error on anything else.
-RouteMode parse_route_mode(const std::string& name);
 
 struct RouterConfig {
   RouteMode mode = RouteMode::kHard;

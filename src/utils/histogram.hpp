@@ -8,8 +8,8 @@
 // retention. min/max/mean/count are exact; percentile estimates are
 // clamped into the observed [min, max] range.
 //
-// Used by bench/serving_throughput for p50/p99/p999 request latency and
-// by bench/fleet_scale for round wall-time tails. Not internally
+// Used by serve::EngineStats for p50/p99/p999 request latency and by
+// bench/fleet_scale for round wall-time tails. Not internally
 // synchronized — either record from one thread, or keep one histogram
 // per thread and merge() at the end.
 #pragma once

@@ -1,5 +1,6 @@
 #include "utils/table.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -36,22 +37,36 @@ TextTable& TextTable::add(long long value) {
   return add(std::to_string(value));
 }
 
+namespace {
+
+/// Display width of a UTF-8 cell in code points: every byte except the
+/// 10xxxxxx continuation bytes starts one, so "±" and "—" count once.
+std::size_t code_points(const std::string& s) {
+  std::size_t n = 0;
+  for (const char ch : s) {
+    if ((static_cast<unsigned char>(ch) & 0xC0) != 0x80) ++n;
+  }
+  return n;
+}
+
+}  // namespace
+
 std::string TextTable::to_string() const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {
-    widths[c] = headers_[c].size();
+    widths[c] = code_points(headers_[c]);
   }
   for (const auto& row : rows_) {
     for (std::size_t c = 0; c < row.size(); ++c) {
-      widths[c] = std::max(widths[c], row[c].size());
+      widths[c] = std::max(widths[c], code_points(row[c]));
     }
   }
   std::ostringstream oss;
   auto emit_row = [&](const std::vector<std::string>& cells) {
     for (std::size_t c = 0; c < headers_.size(); ++c) {
       const std::string& cell = c < cells.size() ? cells[c] : std::string{};
-      oss << (c == 0 ? "" : " | ") << std::left << std::setw(static_cast<int>(widths[c]))
-          << cell;
+      oss << (c == 0 ? "" : " | ") << cell
+          << std::string(widths[c] - code_points(cell), ' ');
     }
     oss << '\n';
   };

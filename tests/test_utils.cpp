@@ -10,7 +10,9 @@
 #include <fstream>
 #include <limits>
 #include <mutex>
+#include <sstream>
 #include <thread>
+#include <vector>
 
 #include "utils/cli.hpp"
 #include "utils/error.hpp"
@@ -223,6 +225,30 @@ TEST(Table, RendersAlignedColumns) {
   EXPECT_NE(s.find("FedClust"), std::string::npos);
   EXPECT_NE(s.find("60.25"), std::string::npos);
   EXPECT_NE(s.find("---"), std::string::npos);
+}
+
+TEST(Table, PadsMultibyteCellsByCodePoint) {
+  TextTable t({"Method", "Acc", "Rounds"});
+  t.new_row().add("FedClust").add("81.40 ± 3.10").add("—");
+  t.new_row().add("FedAvg").add("38.25").add("12");
+  // Code-point columns of the separators ('|' in rows, '+' in the rule)
+  // on every rendered line must agree.
+  std::istringstream lines(t.to_string());
+  std::vector<std::vector<std::size_t>> seps;
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::vector<std::size_t> cols;
+    std::size_t column = 0;
+    for (const char ch : line) {
+      if ((static_cast<unsigned char>(ch) & 0xC0) == 0x80) continue;
+      if (ch == '|' || ch == '+') cols.push_back(column);
+      ++column;
+    }
+    seps.push_back(cols);
+  }
+  ASSERT_EQ(seps.size(), 4u);
+  ASSERT_EQ(seps[0].size(), 2u);
+  for (const auto& cols : seps) EXPECT_EQ(cols, seps[0]);
 }
 
 TEST(Table, CsvEscapesSpecialCells) {
